@@ -5,23 +5,22 @@
 //
 //	mcsim [-workload DS] [-sched FR-FCFS] [-page OpenAdaptive]
 //	      [-channels 1] [-map RoRaBaCoCh] [-cycles N] [-warm N]
-//	      [-seed N] [-percore] [-workers N]
+//	      [-seed N] [-percore] [-ff=false]
 //	      [-obs out.jsonl] [-obs-csv out.csv] [-obs-interval N]
 //	      [-trace trace.jsonl] [-status :8080]
 //	      [-cpuprofile cpu.pprof] [-memprofile mem.pprof]
 //
 // The observability flags attach the internal/obs stack: -obs and
 // -obs-csv stream interval samples (every -obs-interval simulated
-// cycles) as JSONL or CSV, -trace streams every DRAM command as
-// JSONL, and -status serves live progress plus /debug/pprof over
-// HTTP. None of them change simulation results.
+// cycles, which must be positive) as JSONL or CSV, -trace streams
+// every DRAM command as JSONL, and -status serves live progress plus
+// /debug/pprof over HTTP. None of them change simulation results.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 
 	"cloudmc/cmd/internal/monitor"
 	"cloudmc/internal/addrmap"
@@ -41,8 +40,7 @@ func main() {
 	warm := flag.Uint64("warm", 100_000, "timed warmup cycles")
 	seed := flag.Uint64("seed", 1, "simulation seed")
 	perCore := flag.Bool("percore", false, "print per-core IPC")
-	ff := flag.Bool("ff", true, "event-horizon fast-forward (off = naive per-cycle loop; metrics are bit-identical)")
-	workers := flag.Int("workers", 1, "shard the controller phase across N goroutines (0 = all CPUs; clamped to -channels; results are bit-identical)")
+	ff := flag.Bool("ff", true, "event-kernel fast-forward (off = naive per-cycle loop; metrics are bit-identical)")
 	obsPath := flag.String("obs", "", "write interval samples as JSONL to this file")
 	obsCSV := flag.String("obs-csv", "", "write interval samples as CSV to this file")
 	obsInterval := flag.Uint64("obs-interval", 10_000, "sampling interval in simulated cycles")
@@ -51,6 +49,11 @@ func main() {
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile to this file")
 	flag.Parse()
+	if *obsInterval == 0 {
+		fmt.Fprintln(os.Stderr, "mcsim: -obs-interval must be positive")
+		flag.Usage()
+		os.Exit(2)
+	}
 
 	die := func(err error) {
 		fmt.Fprintln(os.Stderr, err)
@@ -79,11 +82,8 @@ func main() {
 	cfg.WarmupCycles = *warm
 	cfg.Seed = *seed
 	cfg.FastForward = *ff
-	if *workers == 0 {
-		*workers = runtime.NumCPU()
-	}
-	cfg.Workers = *workers
-	// Scale ATLAS's quantum to the measurement window (DESIGN.md).
+	// Scale ATLAS's quantum to the measurement window, as
+	// experiment.Study does.
 	cfg.SchedOpts.ATLAS = sched.ATLASConfig{
 		QuantumCycles: *cycles / 10, Alpha: 0.875,
 		StarvationThreshold: *cycles / 80, ScanDepth: 1,

@@ -36,7 +36,7 @@ func main() {
 		cfg.Scheduler = kind
 		cfg.MeasureCycles = 400_000
 		// Scale ATLAS's 10M-cycle quantum to the compressed window
-		// (see DESIGN.md on time compression).
+		// (the same scaling experiment.Study applies).
 		cfg.SchedOpts.ATLAS = sched.ATLASConfig{
 			QuantumCycles: cfg.MeasureCycles / 10, Alpha: 0.875,
 			StarvationThreshold: cfg.MeasureCycles / 80, ScanDepth: 1,

@@ -3,7 +3,7 @@
 // output derived from a map range — error text listing valid names,
 // option ordering, accumulated floating-point sums — varies from run
 // to run, which breaks the repo's bit-identical determinism contract
-// (naive vs. legacy-scan vs. kernel modes must produce identical
+// (the naive loop and the event kernel must produce identical
 // Metrics, and checkpoint/resume must replay exactly).
 //
 // A map range is accepted when:

@@ -18,14 +18,13 @@
 //   - Deterministic. No wall clock, no maps iterated in emit paths;
 //     everything is keyed to the simulated cycle. Wall-clock concerns
 //     (sims/sec, HTTP status) live in cmd/internal/monitor.
-//   - Parallel-safe by construction. Interval snapshots are taken by
-//     the kernel coordinator between stepped cycles — never while the
-//     sharded controller phase is in flight — and counters are merged
-//     in ascending channel order, so Recorder output (JSONL and CSV)
-//     is byte-identical under core.Config.Workers > 1. Only the
-//     TraceWriter sees concurrency (controllers tick in parallel) and
-//     only in file-line order; see its doc for the (cycle, channel)
-//     sort key that recovers the serial byte stream.
+//   - Safe across parallel study cells. A System snapshots between
+//     stepped cycles and merges counters in ascending channel order,
+//     so one run's Recorder output (JSONL and CSV) is a pure function
+//     of its Config. Cells of a parallel sweep each own their
+//     Recorder and TraceWriter; sinks shared across cells are wrapped
+//     with SyncSink, and every row carries its run label, so
+//     interleaved streams demultiplex by the "run" column.
 package obs
 
 import (

@@ -22,14 +22,14 @@ import (
 // tenant -1 marks commands without an attributable requester
 // (page-policy precharges); the "tenant" field is omitted then.
 //
-// Command is safe for concurrent callers; under the sharded kernel
-// (core.Config.Workers > 1) controllers of different channels tick in
-// parallel and interleave their lines nondeterministically. The
-// commands themselves are bit-identical to a serial run — only file
-// order varies — and (cycle, channel) is a total order over the
-// lines (one command per controller per cycle), so a stable sort by
-// that key reproduces the serial trace byte for byte. A serial run
-// already emits in (cycle, channel) order.
+// Every method is safe for concurrent callers: mcmix runs study cells
+// in parallel, each with its own TraceWriter over one shared file,
+// and reads Events/Err and flushes from goroutines other than the
+// cell's. Within one run, controllers tick in ascending channel
+// order, so lines arrive in (cycle, channel) order — a total order,
+// since a controller issues at most one command per cycle. Across
+// cells sharing a file, line order depends on scheduling; the "run"
+// field demultiplexes them.
 type TraceWriter struct {
 	mu     sync.Mutex
 	w      io.Writer
