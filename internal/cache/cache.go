@@ -38,6 +38,9 @@ func (c Config) Validate() error {
 	if !pow2(sets) {
 		return fmt.Errorf("cache: set count %d must be a power of two", sets)
 	}
+	if c.BlockBytes*sets < 4 {
+		return fmt.Errorf("cache: BlockBytes*sets %d must be at least 4 so a tag leaves room for the valid and dirty bits", c.BlockBytes*sets)
+	}
 	return nil
 }
 
@@ -59,12 +62,13 @@ type Stats struct {
 // Reset zeroes the counters.
 func (s *Stats) Reset() { *s = Stats{} }
 
-type line struct {
-	tag   uint64
-	used  uint64 // LRU stamp; larger = more recent
-	valid bool
-	dirty bool
-}
+// A tag word packs one line's tag with its valid and dirty bits. The
+// tag is the address above the block and set bits, so Validate's
+// BlockBytes*sets >= 4 keeps it clear of the two flag bits.
+const (
+	validBit = 1 << 63
+	dirtyBit = 1 << 62
+)
 
 // Victim describes a block displaced by Install.
 type Victim struct {
@@ -85,8 +89,13 @@ type WayShare struct {
 
 // Cache is one set-associative cache.
 type Cache struct {
-	cfg       Config
-	lines     []line // sets * ways, flat
+	cfg Config
+	// tags and used are parallel sets*ways arrays, set-major. A probe
+	// scans only tags, the packed tag words; used holds the LRU stamps
+	// (larger = more recent) that hits, installs and victim selection
+	// update or compare.
+	tags      []uint64
+	used      []uint64
 	setBits   uint
 	blockBits uint
 	ways      int
@@ -109,7 +118,8 @@ func New(cfg Config) *Cache {
 	sets := cfg.Sets()
 	return &Cache{
 		cfg:       cfg,
-		lines:     make([]line, sets*cfg.Ways),
+		tags:      make([]uint64, sets*cfg.Ways),
+		used:      make([]uint64, sets*cfg.Ways),
 		setBits:   uint(bits.TrailingZeros(uint(sets))),
 		blockBits: uint(bits.TrailingZeros(uint(cfg.BlockBytes))),
 		ways:      cfg.Ways,
@@ -129,27 +139,33 @@ func (c *Cache) index(addr uint64) (set int, tag uint64) {
 	return int(a & ((1 << c.setBits) - 1)), a >> c.setBits
 }
 
-func (c *Cache) set(i int) []line {
-	return c.lines[i*c.ways : (i+1)*c.ways]
+// find returns the flat index of addr's line, or -1 when absent, with
+// addr's set and tag.
+func (c *Cache) find(addr uint64) (at, set int, tag uint64) {
+	set, tag = c.index(addr)
+	base := set * c.ways
+	want := tag | validBit
+	for i, t := range c.tags[base : base+c.ways] {
+		if t&^dirtyBit == want {
+			return base + i, set, tag
+		}
+	}
+	return -1, set, tag
 }
 
 // Access looks up addr, updating LRU state on a hit. For write
 // accesses a hit marks the line dirty. It returns whether the access
 // hit.
 func (c *Cache) Access(addr uint64, write bool) bool {
-	set, tag := c.index(addr)
-	for i := range c.set(set) {
-		l := &c.set(set)[i]
-		if l.valid && l.tag == tag {
-			c.stamp++
-			l.used = c.stamp
-			if write {
-				l.dirty = true
-				c.Stats.WriteHits++
-			}
-			c.Stats.Hits++
-			return true
+	if at, _, _ := c.find(addr); at >= 0 {
+		c.stamp++
+		c.used[at] = c.stamp
+		if write {
+			c.tags[at] |= dirtyBit
+			c.Stats.WriteHits++
 		}
+		c.Stats.Hits++
+		return true
 	}
 	c.Stats.Misses++
 	if write {
@@ -160,27 +176,15 @@ func (c *Cache) Access(addr uint64, write bool) bool {
 
 // Contains probes for addr without touching LRU or statistics.
 func (c *Cache) Contains(addr uint64) bool {
-	set, tag := c.index(addr)
-	for i := range c.set(set) {
-		l := &c.set(set)[i]
-		if l.valid && l.tag == tag {
-			return true
-		}
-	}
-	return false
+	at, _, _ := c.find(addr)
+	return at >= 0
 }
 
 // IsDirty probes whether addr is present and dirty, without side
 // effects.
 func (c *Cache) IsDirty(addr uint64) bool {
-	set, tag := c.index(addr)
-	for i := range c.set(set) {
-		l := &c.set(set)[i]
-		if l.valid && l.tag == tag {
-			return l.dirty
-		}
-	}
-	return false
+	at, _, _ := c.find(addr)
+	return at >= 0 && c.tags[at]&dirtyBit != 0
 }
 
 // PartitionWays way-partitions the cache among owners: owner i may
@@ -226,72 +230,85 @@ func (c *Cache) Install(addr uint64, dirty bool) Victim {
 // Refreshes of already-present blocks are unrestricted (the line
 // already lives in its owner's ways).
 func (c *Cache) InstallFor(owner int, addr uint64, dirty bool) Victim {
-	set, tag := c.index(addr)
-	lines := c.set(set)
+	flags := uint64(validBit)
+	if dirty {
+		flags |= dirtyBit
+	}
+	at, set, tag := c.find(addr)
 	c.stamp++
-	// Already present: refresh.
-	for i := range lines {
-		l := &lines[i]
-		if l.valid && l.tag == tag {
-			l.used = c.stamp
-			l.dirty = l.dirty || dirty
-			return Victim{}
-		}
+	if at >= 0 {
+		// Already present: refresh.
+		c.used[at] = c.stamp
+		c.tags[at] |= flags
+		return Victim{}
 	}
 	c.Stats.Installs++
-	first, limit := 0, len(lines)
+	base := set * c.ways
+	first, limit := base, base+c.ways
 	if c.parts != nil && owner >= 0 && owner < len(c.parts) {
-		first = c.parts[owner].First
+		first = base + c.parts[owner].First
 		limit = first + c.parts[owner].Count
 	}
 	victim := first
 	for i := first; i < limit; i++ {
-		if !lines[i].valid {
+		if c.tags[i]&validBit == 0 {
 			victim = i
 			break
 		}
-		if lines[i].used < lines[victim].used {
+		if c.used[i] < c.used[victim] {
 			victim = i
 		}
 	}
 	var out Victim
-	v := &lines[victim]
-	if v.valid {
+	if v := c.tags[victim]; v&validBit != 0 {
 		out = Victim{
-			Addr:  (v.tag<<c.setBits | uint64(set)) << c.blockBits,
-			Dirty: v.dirty,
+			Addr:  ((v&^(validBit|dirtyBit))<<c.setBits | uint64(set)) << c.blockBits,
+			Dirty: v&dirtyBit != 0,
 			Valid: true,
 		}
 		c.Stats.Evictions++
-		if v.dirty {
+		if out.Dirty {
 			c.Stats.DirtyEvicts++
 		}
 	}
-	*v = line{tag: tag, used: c.stamp, valid: true, dirty: dirty}
+	c.tags[victim] = tag | flags
+	c.used[victim] = c.stamp
 	return out
 }
 
 // Invalidate removes addr if present, returning whether the line was
 // dirty.
 func (c *Cache) Invalidate(addr uint64) (wasDirty, wasPresent bool) {
-	set, tag := c.index(addr)
-	for i := range c.set(set) {
-		l := &c.set(set)[i]
-		if l.valid && l.tag == tag {
-			c.Stats.Invalidations++
-			l.valid = false
-			return l.dirty, true
-		}
+	at, _, _ := c.find(addr)
+	if at < 0 {
+		return false, false
 	}
-	return false, false
+	c.Stats.Invalidations++
+	wasDirty = c.tags[at]&dirtyBit != 0
+	c.tags[at] = 0
+	return wasDirty, true
+}
+
+// CopyFrom overwrites c's contents — tags, LRU state and statistics —
+// with src's. The way partition is configuration and stays as it is.
+// It panics when the geometries differ: callers copy between caches
+// built from one Config, so a mismatch is a programming error.
+func (c *Cache) CopyFrom(src *Cache) {
+	if c.cfg != src.cfg {
+		panic(fmt.Sprintf("cache: CopyFrom between geometries %+v and %+v", src.cfg, c.cfg))
+	}
+	copy(c.tags, src.tags)
+	copy(c.used, src.used)
+	c.stamp = src.stamp
+	c.Stats = src.Stats
 }
 
 // Occupancy returns the number of valid lines (for tests and warmup
 // diagnostics).
 func (c *Cache) Occupancy() int {
 	n := 0
-	for i := range c.lines {
-		if c.lines[i].valid {
+	for _, t := range c.tags {
+		if t&validBit != 0 {
 			n++
 		}
 	}

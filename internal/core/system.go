@@ -424,13 +424,18 @@ func (s *System) scheduleFill(at uint64, e *mshrEntry) {
 	s.armFill()
 }
 
-// deliverFills applies all fills due by `now`.
+// deliverFills applies all fills due by `now`. Pops copy the queue
+// down rather than reslice past the head, so the array keeps its
+// capacity and scheduleFill's appends stop allocating once the queue
+// has reached its MSHR-bounded peak.
 //
 //mclint:hotpath
 func (s *System) deliverFills(now uint64) {
 	for len(s.fillq) > 0 && s.fillq[0].at <= now {
 		e := s.fillq[0].e
-		s.fillq = s.fillq[1:]
+		n := copy(s.fillq, s.fillq[1:])
+		s.fillq[n] = delayedFill{}
+		s.fillq = s.fillq[:n]
 		s.fill(now, e)
 	}
 }
@@ -498,29 +503,35 @@ func (s *System) installL1(now uint64, core int, addr uint64, dirty bool) {
 }
 
 // drainWritebacks pushes pending writebacks into the controllers,
-// preserving order, stopping at the first rejection.
+// preserving order, stopping at the first rejection. The accepted
+// prefix is then dropped in place, keeping the queue's capacity.
 func (s *System) drainWritebacks(now uint64) {
-	for len(s.wbq) > 0 {
-		wb := s.wbq[0]
+	n := 0
+	for ; n < len(s.wbq); n++ {
+		wb := s.wbq[n]
 		loc := s.decode(wb.tenant, wb.addr)
 		if !s.ctrls[loc.Channel].EnqueueWrite(now, memctrl.Source{Core: wb.core, Tenant: wb.tenant}, wb.addr, loc, nil) {
-			return
+			break
 		}
 		s.notifyCtrl(loc.Channel, now)
-		s.wbq = s.wbq[1:]
+	}
+	if n > 0 {
+		s.wbq = s.wbq[:copy(s.wbq, s.wbq[n:])]
 	}
 }
 
 // tickIO injects each tenant's DMA traffic, retrying rejected requests
-// in order.
+// in order. Like drainWritebacks, it drops the accepted prefix in
+// place.
 func (s *System) tickIO(now uint64) {
 	for i, a := range s.ios {
 		if addr, ok, write := a.Next(); ok {
 			s.ioq = append(s.ioq, pendingIO{addr: addr, write: write, tenant: s.ioTenant[i]})
 		}
 	}
-	for len(s.ioq) > 0 {
-		req := s.ioq[0]
+	n := 0
+	for ; n < len(s.ioq); n++ {
+		req := s.ioq[n]
 		loc := s.decode(req.tenant, req.addr)
 		ctl := s.ctrls[loc.Channel]
 		src := memctrl.Source{Core: -1, Tenant: req.tenant}
@@ -531,10 +542,12 @@ func (s *System) tickIO(now uint64) {
 			ok = ctl.EnqueueRead(now, src, req.addr, loc, memctrl.ReadPrefetch, nil)
 		}
 		if !ok {
-			return
+			break
 		}
 		s.notifyCtrl(loc.Channel, now)
-		s.ioq = s.ioq[1:]
+	}
+	if n > 0 {
+		s.ioq = s.ioq[:copy(s.ioq, s.ioq[n:])]
 	}
 }
 
@@ -637,11 +650,33 @@ func (s *System) autoWarmupInstr() uint64 {
 // controllers are untouched; dirty victims are dropped (their
 // writebacks belong to the un-timed past). Zero selects the automatic
 // sizing.
+//
+// A fresh system whose warmup inputs equal those of the previous fresh
+// warmup in the process copies that warmup's end state instead of
+// recomputing it (see lastWarm); the result is identical either way.
 func (s *System) FunctionalWarmup(instrPerCore uint64) {
-	s.primeCaches()
 	if instrPerCore == 0 {
 		instrPerCore = s.autoWarmupInstr()
 	}
+	fresh := s.fresh()
+	var key warmKey
+	if fresh {
+		key = s.warmKey(instrPerCore)
+		if s.loadWarm(key) {
+			s.warmed = true
+			return
+		}
+	}
+	s.primeCaches()
+	s.streamWarmup(instrPerCore)
+	if fresh {
+		s.saveWarm(key)
+	}
+	s.warmed = true
+}
+
+// streamWarmup is the functional-warming loop of FunctionalWarmup.
+func (s *System) streamWarmup(instrPerCore uint64) {
 	for coreID, gen := range s.gens {
 		l1 := s.l1[coreID]
 		ten := s.coreTenant[coreID]
@@ -664,7 +699,6 @@ func (s *System) FunctionalWarmup(instrPerCore uint64) {
 			}
 		}
 	}
-	s.warmed = true
 }
 
 // Step advances the whole system by one cycle. Most callers use Run;
