@@ -465,59 +465,78 @@ func BenchmarkControllerParkReArm(b *testing.B) {
 // over every bank with a few rows per bank, so the option set holds a
 // realistic mix of activates, row hits and conflicts. allocs/op is
 // reported: the steady-state busy path is expected to run
-// allocation-free.
+// allocation-free. The atlas-* variants run the same loop under ATLAS
+// (scan depth 2, a 10k-cycle quantum so rankings roll over during the
+// run) with requests spread over 16 cores, covering the policy's Pick
+// and quantum Tick, which the Policy interface hides from hotalloc.
 func BenchmarkBuildOptions(b *testing.B) {
 	geo := dram.Geometry{Channels: 1, Ranks: 4, Banks: 8, Rows: 1 << 14, Columns: 64, BlockBytes: 64}
-	src := memctrl.Source{Core: 1, Tenant: -1}
-	for _, depth := range []int{48, 224} {
-		depth := depth
-		b.Run("q"+itoa(depth), func(b *testing.B) {
-			cfg := memctrl.DefaultConfig()
-			cfg.ReadQueueCap = depth + 16
-			cfg.WriteQueueCap = depth + 16
-			cfg.WriteHi = depth
-			cfg.WriteLo = depth / 4
-			ch := dram.NewChannel(0, geo, dram.DDR3_1600())
-			pol := sched.NewFactoryOpts(sched.FRFCFS, sched.Opts{Cores: 16})(0)
-			ctl, err := memctrl.New(cfg, ch, pol, pagepolicy.NewOpenAdaptive())
-			if err != nil {
-				b.Fatal(err)
+	for _, bc := range []struct {
+		prefix string
+		kind   sched.Kind
+	}{{"", sched.FRFCFS}, {"atlas-", sched.ATLAS}} {
+		for _, depth := range []int{48, 224} {
+			depth, bc := depth, bc
+			b.Run(bc.prefix+"q"+itoa(depth), func(b *testing.B) {
+				benchBuildOptions(b, geo, bc.kind, depth)
+			})
+		}
+	}
+}
+
+// benchBuildOptions is one BenchmarkBuildOptions variant.
+func benchBuildOptions(b *testing.B, geo dram.Geometry, kind sched.Kind, depth int) {
+	cfg := memctrl.DefaultConfig()
+	cfg.ReadQueueCap = depth + 16
+	cfg.WriteQueueCap = depth + 16
+	cfg.WriteHi = depth
+	cfg.WriteLo = depth / 4
+	ch := dram.NewChannel(0, geo, dram.DDR3_1600())
+	opts := sched.Opts{Cores: 16, ATLAS: sched.ATLASConfig{
+		QuantumCycles: 10_000, Alpha: 0.875, StarvationThreshold: 1_250, ScanDepth: 2,
+	}}
+	pol := sched.NewFactoryOpts(kind, opts)(0)
+	ctl, err := memctrl.New(cfg, ch, pol, pagepolicy.NewOpenAdaptive())
+	if err != nil {
+		b.Fatal(err)
+	}
+	ctl.SetFastForward(true)
+	banks := geo.Ranks * geo.Banks
+	seq := 0
+	enq := func(now uint64) bool {
+		loc := dram.Location{
+			Channel: 0,
+			Rank:    (seq % banks) / geo.Banks,
+			Bank:    seq % geo.Banks,
+			Row:     (seq / banks) % 4,
+			Column:  seq % geo.Columns,
+		}
+		src := memctrl.Source{Core: 1, Tenant: -1}
+		if kind == sched.ATLAS {
+			src.Core = seq % 16
+		}
+		ok := ctl.EnqueueRead(now, src, uint64(seq)<<6, loc, memctrl.ReadDemand, nil)
+		if ok {
+			seq++
+		}
+		return ok
+	}
+	now := uint64(0)
+	for r, _ := ctl.QueueLens(); r < depth; r, _ = ctl.QueueLens() {
+		if !enq(now) {
+			b.Fatal("could not pre-fill the read queue")
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ctl.Tick(now)
+		now++
+		for r, _ := ctl.QueueLens(); r < depth; r, _ = ctl.QueueLens() {
+			if !enq(now) {
+				break
 			}
-			ctl.SetFastForward(true)
-			banks := geo.Ranks * geo.Banks
-			seq := 0
-			enq := func(now uint64) bool {
-				loc := dram.Location{
-					Channel: 0,
-					Rank:    (seq % banks) / geo.Banks,
-					Bank:    seq % geo.Banks,
-					Row:     (seq / banks) % 4,
-					Column:  seq % geo.Columns,
-				}
-				ok := ctl.EnqueueRead(now, src, uint64(seq)<<6, loc, memctrl.ReadDemand, nil)
-				if ok {
-					seq++
-				}
-				return ok
-			}
-			now := uint64(0)
-			for r, _ := ctl.QueueLens(); r < depth; r, _ = ctl.QueueLens() {
-				if !enq(now) {
-					b.Fatal("could not pre-fill the read queue")
-				}
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				ctl.Tick(now)
-				now++
-				for r, _ := ctl.QueueLens(); r < depth; r, _ = ctl.QueueLens() {
-					if !enq(now) {
-						break
-					}
-				}
-			}
-		})
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"testing"
 
 	"cloudmc/internal/addrmap"
@@ -199,6 +200,10 @@ func TestConfigValidateCatchesErrors(t *testing.T) {
 		func(c *Config) { c.MeasureCycles = 0 },
 		func(c *Config) { c.MSHRCap = 0 },
 		func(c *Config) { c.L2HitLatency = 0 },
+		func(c *Config) {
+			c.SchedOpts.ATLAS = sched.ATLASConfig{QuantumCycles: 1_000, Alpha: 0.875, ScanDepth: -1}
+		},
+		func(c *Config) { c.SchedOpts.QoS = sched.QoSConfig{QuantumCycles: 1_000, Alpha: math.NaN()} },
 	}
 	for i, mutate := range mutations {
 		cfg := DefaultConfig(workload.DataServing())

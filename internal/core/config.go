@@ -263,6 +263,9 @@ func (c Config) Validate() error {
 	if err := c.MC.Validate(); err != nil {
 		return err
 	}
+	if err := c.SchedOpts.Validate(); err != nil {
+		return err
+	}
 	if c.MSHRCap <= 0 || c.StoreBufferCap <= 0 {
 		return fmt.Errorf("core: MSHRCap and StoreBufferCap must be positive")
 	}

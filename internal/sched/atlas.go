@@ -1,8 +1,6 @@
 package sched
 
 import (
-	"fmt"
-
 	"cloudmc/internal/dram"
 	"cloudmc/internal/memctrl"
 )
@@ -49,7 +47,10 @@ type ServiceTracker struct {
 	service []float64
 	total   []float64
 	// rank[slot]: 0 is the highest priority (least attained service).
-	rank        []int
+	rank []int
+	// order is the re-ranking scratch, allocated once so a quantum
+	// rollover does not allocate.
+	order       []int
 	nextQuantum uint64
 }
 
@@ -62,6 +63,7 @@ func NewServiceTracker(cores int, cfg ATLASConfig) *ServiceTracker {
 		service:     make([]float64, n),
 		total:       make([]float64, n),
 		rank:        make([]int, n),
+		order:       make([]int, n),
 		nextQuantum: cfg.QuantumCycles,
 	}
 	return t
@@ -85,7 +87,7 @@ func (t *ServiceTracker) Tick(now uint64) {
 		t.service[i] = 0
 	}
 	// Rank by total ascending (insertion sort over <=17 slots).
-	order := make([]int, len(t.total))
+	order := t.order
 	for i := range order {
 		order[i] = i
 	}
@@ -101,16 +103,7 @@ func (t *ServiceTracker) Tick(now uint64) {
 	for r, slot := range order {
 		t.rank[slot] = r
 	}
-	if debugATLAS {
-		fmt.Printf("atlas ranks @%d: %v totals: %.0f\n", now, t.rank, t.total)
-	}
 }
-
-// debugATLAS enables rank tracing for development. It is a
-// compile-time switch rather than an environment lookup: an env var
-// would make simulation behavior depend on host state, which the
-// nodeterm invariant forbids in simulation packages.
-const debugATLAS = false
 
 // NextBoundary returns the cycle at which the next quantum rollover
 // fires (the earliest now for which Tick re-ranks).
@@ -127,8 +120,8 @@ func (t *ServiceTracker) Cores() int { return len(t.rank) - 1 }
 // (starving) requests oldest-first, then least-attained-service core
 // rank, then row hits, then age.
 type ATLASPolicy struct {
-	cfg     ATLASConfig
 	tracker *ServiceTracker
+	scan    rankScan
 	// byTenant ranks by Request.Tenant instead of Request.Core
 	// (multi-tenant systems; the tracker is then sized per tenant).
 	byTenant bool
@@ -137,14 +130,16 @@ type ATLASPolicy struct {
 // NewATLAS returns an ATLAS policy sharing the given tracker, ranking
 // per core (the paper's configuration).
 func NewATLAS(cfg ATLASConfig, tracker *ServiceTracker) *ATLASPolicy {
-	return &ATLASPolicy{cfg: cfg, tracker: tracker}
+	return &ATLASPolicy{tracker: tracker, scan: newRankScan(cfg.ScanDepth, 2, cfg.StarvationThreshold)}
 }
 
 // NewATLASTenants returns an ATLAS policy that accounts and ranks
 // attained service per tenant; the tracker must be sized with the
 // tenant count.
 func NewATLASTenants(cfg ATLASConfig, tracker *ServiceTracker) *ATLASPolicy {
-	return &ATLASPolicy{cfg: cfg, tracker: tracker, byTenant: true}
+	p := NewATLAS(cfg, tracker)
+	p.byTenant = true
+	return p
 }
 
 // slot maps a request to its service-tracker slot: its tenant in
@@ -168,6 +163,8 @@ func (*ATLASPolicy) OnComplete(*memctrl.Request, uint64) {}
 
 // Tick implements memctrl.Policy. Multiple per-channel instances may
 // share a tracker; Tick is idempotent within a cycle.
+//
+//mclint:hotpath
 func (p *ATLASPolicy) Tick(now uint64) { p.tracker.Tick(now) }
 
 // NextPolicyEvent implements memctrl.EventHorizon: the quantum
@@ -192,7 +189,55 @@ func (p *ATLASPolicy) OnIssue(v *memctrl.View, picked int, issued dram.Command, 
 }
 
 // Pick implements memctrl.Policy.
+//
+//mclint:hotpath
 func (p *ATLASPolicy) Pick(v *memctrl.View) int {
+	return p.scan.pick(v, p.tracker.rank, p.byTenant)
+}
+
+// rankScan is the bounded pick logic ATLAS and QoS share: starving
+// requests first, oldest-first; otherwise walk the queued reads in
+// (rank, age) order and issue the first legal command found within
+// the top depth requests, idling when none of them has one.
+type rankScan struct {
+	depth      int
+	starvation uint64
+	// top is the selection scratch of one Pick: the best keys seen so
+	// far, ascending, at most depth of them. It holds ReadQueue
+	// indices, never request pointers, so nothing outlives the View.
+	top []rankKey
+}
+
+// rankKey places one queued read in (rank, age) order.
+type rankKey struct {
+	rank int
+	id   uint64
+	// idx is the request's index in View.ReadQueue.
+	idx int
+}
+
+// before reports whether a precedes b: lower rank first, then older.
+func (a rankKey) before(b rankKey) bool {
+	if a.rank != b.rank {
+		return a.rank < b.rank
+	}
+	return a.id < b.id
+}
+
+// newRankScan returns a scan of the given depth (defaultDepth when
+// depth <= 0). The selection buffer is preallocated; depths beyond 64
+// grow it on first use, up to the deepest read queue seen.
+func newRankScan(depth, defaultDepth int, starvation uint64) rankScan {
+	if depth <= 0 {
+		depth = defaultDepth
+	}
+	return rankScan{depth: depth, starvation: starvation, top: make([]rankKey, 0, min(depth, 64))}
+}
+
+// pick chooses an option under the ranks of the requesters' slots
+// (ranks[len(ranks)-1] is the slot of unattributed traffic), keyed by
+// Request.Tenant when byTenant and by Request.Core otherwise.
+func (s *rankScan) pick(v *memctrl.View, ranks []int, byTenant bool) int {
 	if v.WriteMode {
 		return pickFRFCFS(v)
 	}
@@ -201,7 +246,7 @@ func (p *ATLASPolicy) Pick(v *memctrl.View) int {
 	best := -1
 	for i := range v.Options {
 		opt := &v.Options[i]
-		if opt.Req.Age(v.Now) < p.cfg.StarvationThreshold {
+		if opt.Req.Age(v.Now) < s.starvation {
 			continue
 		}
 		if best == -1 || opt.Req.ID < v.Options[best].Req.ID {
@@ -212,72 +257,41 @@ func (p *ATLASPolicy) Pick(v *memctrl.View) int {
 		return best
 	}
 
-	// Walk queued requests in (LAS rank, age) order; issue the first
-	// legal command found within the scan window.
-	scan := p.cfg.ScanDepth
-	if scan <= 0 {
-		scan = 2
-	}
-	for n := 0; n < scan; n++ {
-		req := p.nthByRank(v, n)
-		if req == nil {
-			return -1
+	// One pass over the read queue keeps the top depth keys in an
+	// insertion-sorted buffer; each key is computed once.
+	slots := len(ranks) - 1
+	top := s.top[:0]
+	for i, r := range v.ReadQueue {
+		who := r.Core
+		if byTenant {
+			who = r.Tenant
 		}
-		for i := range v.Options {
-			if v.Options[i].Req == req {
-				return i
+		k := rankKey{rank: ranks[coreSlot(who, slots)], id: r.ID, idx: i}
+		switch {
+		case len(top) < s.depth:
+			top = append(top, k)
+		case k.before(top[len(top)-1]):
+			top[len(top)-1] = k
+		default:
+			continue
+		}
+		for j := len(top) - 1; j > 0 && top[j].before(top[j-1]); j-- {
+			top[j], top[j-1] = top[j-1], top[j]
+		}
+	}
+	s.top = top
+
+	// The option serving the best-placed selected request wins; among
+	// options serving the same request, the first does.
+	best, bestPos := -1, len(top)
+	for i := range v.Options {
+		req := v.Options[i].Req
+		for pos := 0; pos < bestPos; pos++ {
+			if v.ReadQueue[top[pos].idx] == req {
+				best, bestPos = i, pos
+				break
 			}
 		}
 	}
-	return -1
-}
-
-// nthByRank returns the n-th queued read request under (rank, age)
-// ordering, or nil when fewer requests are queued. n is small (the
-// scan depth), so repeated selection scans beat sorting.
-func (p *ATLASPolicy) nthByRank(v *memctrl.View, n int) *memctrl.Request {
-	var prev *memctrl.Request
-	for k := 0; k <= n; k++ {
-		var best *memctrl.Request
-		for _, r := range v.ReadQueue {
-			if !p.after(r, prev) {
-				continue
-			}
-			if best == nil || p.before(r, best) {
-				best = r
-			}
-		}
-		if best == nil {
-			return nil
-		}
-		prev = best
-	}
-	return prev
-}
-
-// before reports whether a precedes b in (rank, age) order.
-func (p *ATLASPolicy) before(a, b *memctrl.Request) bool {
-	ra := p.tracker.Rank(p.slot(a))
-	rb := p.tracker.Rank(p.slot(b))
-	if ra != rb {
-		return ra < rb
-	}
-	return a.ID < b.ID
-}
-
-// after reports whether r comes strictly after prev (nil prev = start).
-func (p *ATLASPolicy) after(r, prev *memctrl.Request) bool {
-	if prev == nil {
-		return true
-	}
-	return p.before(prev, r)
-}
-
-func less3(a, b [3]int) bool {
-	for i := range a {
-		if a[i] != b[i] {
-			return a[i] < b[i]
-		}
-	}
-	return false
+	return best
 }

@@ -64,7 +64,9 @@ type QoSTracker struct {
 	est      []float64
 	violator []bool
 	rank     []int
-	next     uint64
+	// order is the re-ranking scratch, allocated once.
+	order []int
+	next  uint64
 }
 
 // NewQoSTracker returns a tracker for n slots (tenants, typically)
@@ -79,6 +81,7 @@ func NewQoSTracker(n int, cfg QoSConfig) *QoSTracker {
 		est:      make([]float64, slots),
 		violator: make([]bool, slots),
 		rank:     make([]int, slots),
+		order:    make([]int, slots),
 		next:     cfg.QuantumCycles,
 	}
 	return t
@@ -147,20 +150,14 @@ func (t *QoSTracker) Tick(now uint64) {
 	}
 	// Rank: (violator first, then LAS rank) — insertion sort over the
 	// handful of slots.
-	order := make([]int, len(t.rank))
+	order := t.order
 	for i := range order {
 		order[i] = i
-	}
-	before := func(x, y int) bool {
-		if t.violator[x] != t.violator[y] {
-			return t.violator[x]
-		}
-		return t.svc.Rank(x) < t.svc.Rank(y)
 	}
 	for i := 1; i < len(order); i++ {
 		j := order[i]
 		k := i - 1
-		for k >= 0 && before(j, order[k]) {
+		for k >= 0 && t.before(j, order[k]) {
 			order[k+1] = order[k]
 			k--
 		}
@@ -171,6 +168,14 @@ func (t *QoSTracker) Tick(now uint64) {
 	}
 }
 
+// before reports whether slot x is scheduled ahead of slot y.
+func (t *QoSTracker) before(x, y int) bool {
+	if t.violator[x] != t.violator[y] {
+		return t.violator[x]
+	}
+	return t.svc.Rank(x) < t.svc.Rank(y)
+}
+
 // Rank returns the slot's current schedule rank (0 = highest
 // priority).
 func (t *QoSTracker) Rank(slot int) int { return t.rank[slot] }
@@ -179,8 +184,8 @@ func (t *QoSTracker) Rank(slot int) int { return t.rank[slot] }
 // rank-ordered scan and starvation override, driven by the QoSTracker's
 // SLO-aware ranking instead of pure least-attained-service order.
 type QoSPolicy struct {
-	cfg     QoSConfig
 	tracker *QoSTracker
+	scan    rankScan
 	// byTenant ranks by Request.Tenant (colocation runs); false falls
 	// back to per-core slots, which makes QoS degenerate to
 	// ATLAS-with-SLO on solo systems.
@@ -189,7 +194,7 @@ type QoSPolicy struct {
 
 // NewQoS returns a QoS policy sharing the given tracker.
 func NewQoS(cfg QoSConfig, tracker *QoSTracker, byTenant bool) *QoSPolicy {
-	return &QoSPolicy{cfg: cfg, tracker: tracker, byTenant: byTenant}
+	return &QoSPolicy{tracker: tracker, scan: newRankScan(cfg.ScanDepth, 4, cfg.StarvationThreshold), byTenant: byTenant}
 }
 
 // slot maps a request to its tracker slot.
@@ -217,6 +222,8 @@ func (p *QoSPolicy) OnComplete(r *memctrl.Request, now uint64) {
 
 // Tick implements memctrl.Policy; idempotent within a cycle so shared
 // trackers tolerate one call per channel.
+//
+//mclint:hotpath
 func (p *QoSPolicy) Tick(now uint64) { p.tracker.Tick(now) }
 
 // NextPolicyEvent implements memctrl.EventHorizon: quantum rollovers
@@ -236,70 +243,8 @@ func (p *QoSPolicy) OnIssue(v *memctrl.View, picked int, issued dram.Command, _ 
 
 // Pick implements memctrl.Policy: starvation override first, then the
 // bounded scan in (SLO rank, age) order.
+//
+//mclint:hotpath
 func (p *QoSPolicy) Pick(v *memctrl.View) int {
-	if v.WriteMode {
-		return pickFRFCFS(v)
-	}
-	best := -1
-	for i := range v.Options {
-		opt := &v.Options[i]
-		if opt.Req.Age(v.Now) < p.cfg.StarvationThreshold {
-			continue
-		}
-		if best == -1 || opt.Req.ID < v.Options[best].Req.ID {
-			best = i
-		}
-	}
-	if best >= 0 {
-		return best
-	}
-	scan := p.cfg.ScanDepth
-	if scan <= 0 {
-		scan = 4
-	}
-	for n := 0; n < scan; n++ {
-		req := p.nthByRank(v, n)
-		if req == nil {
-			return -1
-		}
-		for i := range v.Options {
-			if v.Options[i].Req == req {
-				return i
-			}
-		}
-	}
-	return -1
-}
-
-// nthByRank returns the n-th queued read under (rank, age) ordering,
-// or nil when fewer are queued (the ATLAS selection scan with the
-// QoS comparator).
-func (p *QoSPolicy) nthByRank(v *memctrl.View, n int) *memctrl.Request {
-	var prev *memctrl.Request
-	for k := 0; k <= n; k++ {
-		var best *memctrl.Request
-		for _, r := range v.ReadQueue {
-			if prev != nil && !p.before(prev, r) {
-				continue
-			}
-			if best == nil || p.before(r, best) {
-				best = r
-			}
-		}
-		if best == nil {
-			return nil
-		}
-		prev = best
-	}
-	return prev
-}
-
-// before reports whether a precedes b in (rank, age) order.
-func (p *QoSPolicy) before(a, b *memctrl.Request) bool {
-	ra := p.tracker.Rank(p.slot(a))
-	rb := p.tracker.Rank(p.slot(b))
-	if ra != rb {
-		return ra < rb
-	}
-	return a.ID < b.ID
+	return p.scan.pick(v, p.tracker.rank, p.byTenant)
 }

@@ -116,6 +116,35 @@ type Opts struct {
 	QoS   QoSConfig
 }
 
+// Validate rejects explicitly set ATLAS and QoS sub-configs that no
+// policy can run: a negative ScanDepth, or a smoothing Alpha that is
+// NaN or outside [0, 1]. Zero-valued sub-configs select the defaults
+// and always pass.
+func (o Opts) Validate() error {
+	if o.ATLAS != (ATLASConfig{}) {
+		if err := validateScan("ATLAS", o.ATLAS.ScanDepth, o.ATLAS.Alpha); err != nil {
+			return err
+		}
+	}
+	if o.QoS != (QoSConfig{}) {
+		if err := validateScan("QoS", o.QoS.ScanDepth, o.QoS.Alpha); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// validateScan checks the parameters ATLAS and QoS share.
+func validateScan(name string, scanDepth int, alpha float64) error {
+	if scanDepth < 0 {
+		return fmt.Errorf("sched: %s ScanDepth %d is negative (0 selects the default)", name, scanDepth)
+	}
+	if !(alpha >= 0 && alpha <= 1) {
+		return fmt.Errorf("sched: %s Alpha %v must lie in [0, 1]", name, alpha)
+	}
+	return nil
+}
+
 func (o Opts) atlas() ATLASConfig {
 	if o.ATLAS.QuantumCycles == 0 {
 		return DefaultATLASConfig()
