@@ -29,3 +29,25 @@ func TestParseSchemeErrorDeterministic(t *testing.T) {
 		t.Fatalf("error = %q, want %q", err1, want)
 	}
 }
+
+// FuzzParseScheme checks the parser boundary: every input either
+// returns an error or parses to a Scheme whose String() parses back to
+// the same Scheme.
+func FuzzParseScheme(f *testing.F) {
+	for _, s := range Schemes {
+		f.Add(s.String())
+	}
+	for _, s := range []string{"", "nope", "Scheme(7)", "rorabacoch", "RoRaBaCoCh ", "\xff"} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, name string) {
+		s, err := ParseScheme(name)
+		if err != nil {
+			return
+		}
+		back, err := ParseScheme(s.String())
+		if err != nil || back != s {
+			t.Fatalf("ParseScheme(%q) = %v, but ParseScheme(%q) = %v, %v", name, s, s.String(), back, err)
+		}
+	})
+}

@@ -18,24 +18,41 @@ import (
 // exactly the same event ordering.
 func runModes(t *testing.T, cfg Config, label string) Metrics {
 	t.Helper()
-	run := func(ff bool) (Metrics, uint64) {
+	m, _ := runModesSys(t, cfg, label)
+	return m
+}
+
+// runModesSys is runModes returning the kernel-mode System as well, so
+// callers can inspect its engine telemetry.
+func runModesSys(t *testing.T, cfg Config, label string) (Metrics, *System) {
+	t.Helper()
+	run := func(ff bool) (Metrics, *System) {
 		c := cfg
 		c.FastForward = ff
 		sys, err := NewSystem(c)
 		if err != nil {
 			t.Fatalf("%s: %v", label, err)
 		}
-		return sys.Run(), sys.cycle
+		return sys.Run(), sys
 	}
-	naive, naiveCycle := run(false)
-	kernel, kernelCycle := run(true)
-	if naiveCycle != kernelCycle {
-		t.Fatalf("%s: final clocks diverged: naive=%d kernel=%d", label, naiveCycle, kernelCycle)
+	naive, naiveSys := run(false)
+	kernel, kernelSys := run(true)
+	if naiveSys.cycle != kernelSys.cycle {
+		t.Fatalf("%s: final clocks diverged: naive=%d kernel=%d", label, naiveSys.cycle, kernelSys.cycle)
 	}
 	if !reflect.DeepEqual(naive, kernel) {
 		t.Fatalf("%s: event kernel diverged from naive loop:\nnaive: %+v\nkernel: %+v", label, naive, kernel)
 	}
-	return kernel
+	return kernel, kernelSys
+}
+
+// declineParks sums Stats.DeclineParks over a system's controllers.
+func declineParks(sys *System) uint64 {
+	var n uint64
+	for _, ctl := range sys.ctrls {
+		n += ctl.Stats.DeclineParks
+	}
+	return n
 }
 
 // randomProfile draws a valid profile from the whole parameter space
@@ -190,8 +207,10 @@ func TestKernelChunkedAdvance(t *testing.T) {
 // cycle by cycle against the raw DRAM legality rules: horizons must
 // be exact — never late (a legal command inside the window would
 // desynchronize the engines) and never early (a spurious wake would
-// mask lateness bugs by brute force).
-func stepAndAudit(t *testing.T, cfg Config, cycles uint64, label string) {
+// mask lateness bugs by brute force). It returns the number of
+// audited decline parks (parks established by a tick whose policy
+// declined legal options).
+func stepAndAudit(t *testing.T, cfg Config, cycles uint64, label string) (declines int) {
 	t.Helper()
 	sys, err := NewSystem(cfg)
 	if err != nil {
@@ -202,11 +221,15 @@ func stepAndAudit(t *testing.T, cfg Config, cycles uint64, label string) {
 	}
 	sys.FunctionalWarmup(2_000)
 	last := make([]uint64, len(sys.ctrls))
+	lastDecl := make([]uint64, len(sys.ctrls))
 	audits := 0
 	for i := uint64(0); i < cycles; i++ {
 		sys.Step()
 		now := sys.cycle - 1
 		for ci, ctl := range sys.ctrls {
+			d := ctl.Stats.DeclineParks
+			declined := d != lastDecl[ci]
+			lastDecl[ci] = d
 			w := ctl.ParkHorizon()
 			if w == last[ci] {
 				continue
@@ -216,24 +239,41 @@ func stepAndAudit(t *testing.T, cfg Config, cycles uint64, label string) {
 				t.Fatalf("%s: mc%d at cycle %d: %v", label, ci, now, err)
 			}
 			audits++
+			if declined {
+				declines++
+			}
 		}
 	}
 	if audits == 0 {
 		t.Fatalf("%s: no park horizons were ever established — audit exercised nothing", label)
 	}
+	return declines
+}
+
+// declinesParks reports whether scheduler kind implements
+// memctrl.DeclineHorizon, i.e. whether its runs must decline-park.
+func declinesParks(kind sched.Kind) bool {
+	switch kind {
+	case sched.ATLAS, sched.QoS, sched.FCFSBanks:
+		return true
+	}
+	return false
 }
 
 // TestParkHorizonExactness is the system-level property test of the
-// per-bank wake-up horizons: randomized profiles (including >16-core
-// configs and DMA agents) under FR-FCFS, ATLAS, PAR-BS and QoS, plus
-// an isolated multi-tenant mix, all audited park by park.
+// wake-up horizons: randomized profiles (including >16-core configs
+// and DMA agents) under every scheduler, plus an isolated multi-tenant
+// mix, all audited park by park. RL, which declines options without
+// implementing memctrl.DeclineHorizon, is the control that must never
+// decline-park; ATLAS, QoS and FCFS_Banks must decline-park at least
+// once per trial so the decline audit is exercised.
 func TestParkHorizonExactness(t *testing.T) {
 	if testing.Short() {
 		t.Skip("cycle-stepped audits are slow")
 	}
-	kinds := []sched.Kind{sched.FRFCFS, sched.ATLAS, sched.PARBS, sched.QoS}
+	kinds := []sched.Kind{sched.FRFCFS, sched.ATLAS, sched.PARBS, sched.QoS, sched.FCFSBanks, sched.RL}
 	rng := rand.New(rand.NewSource(20260731))
-	for trial := 0; trial < 6; trial++ {
+	for trial := 0; trial < 8; trial++ {
 		p := randomProfile(rng)
 		cfg := DefaultConfig(p)
 		cfg.Scheduler = kinds[trial%len(kinds)]
@@ -249,7 +289,12 @@ func TestParkHorizonExactness(t *testing.T) {
 		}
 		label := p.Acronym + "/" + cfg.Scheduler.String()
 		t.Run(label, func(t *testing.T) {
-			stepAndAudit(t, cfg, 12_000, label)
+			declines := stepAndAudit(t, cfg, 12_000, label)
+			if want := declinesParks(cfg.Scheduler); want && declines == 0 {
+				t.Fatalf("%s: no decline park was audited", label)
+			} else if !want && declines > 0 {
+				t.Fatalf("%s: %d decline parks under a policy without DeclineHorizon", label, declines)
+			}
 		})
 	}
 
@@ -266,8 +311,106 @@ func TestParkHorizonExactness(t *testing.T) {
 			MaxSlowdownSLO: 1.5, QuantumCycles: 5_000, Alpha: 0.875,
 			StarvationThreshold: 1_000, ScanDepth: 4, BaselineLatency: 70,
 		}
-		stepAndAudit(t, cfg, 12_000, "isolated-mix-32c")
+		if stepAndAudit(t, cfg, 12_000, "isolated-mix-32c") == 0 {
+			t.Fatal("isolated-mix-32c: no decline park was audited")
+		}
 	})
+}
+
+// TestKernelDeclineParkEquivalence pins the decline-park regime on
+// the colocation case it was built for: DS:8+HOG:8 with bank and way
+// isolation, where ATLAS's bounded scan declines most legal options.
+// A 64-cycle starvation threshold and a 2k-cycle quantum make the
+// starvation (DeclineHorizon) and quantum (NextPolicyEvent) wake-ups
+// fire inside the run; FCFS_Banks covers a per-bank decliner on 4
+// channels, and the predictive page policies cover pending closes
+// whose stateful ShouldClose calls a decline park skips. Every case
+// must decline-park and stay bit-identical to the naive loop.
+func TestKernelDeclineParkEquivalence(t *testing.T) {
+	if testing.Short() {
+		t.Skip("paired simulations are slow")
+	}
+	mix := tenant.NewMix("",
+		tenant.Spec{Profile: workload.DataServing(), Cores: 8},
+		tenant.Spec{Profile: workload.MemoryHog(), Cores: 8},
+	)
+	base := DefaultMixConfig(mix)
+	base.Isolation = Isolation{BankPartition: true, WayPartition: true}
+	base.WarmupCycles = 2_000
+	base.MeasureCycles = 12_000
+	base.WarmupInstrPerCore = 2_000
+	base.SchedOpts.ATLAS = sched.ATLASConfig{
+		QuantumCycles: 2_000, Alpha: 0.875,
+		StarvationThreshold: 64, ScanDepth: 2,
+	}
+	base.SchedOpts.QoS = sched.QoSConfig{
+		MaxSlowdownSLO: 1.5, QuantumCycles: 2_000, Alpha: 0.875,
+		StarvationThreshold: 64, ScanDepth: 4, BaselineLatency: 70,
+	}
+	with := func(kind sched.Kind, channels int, page string) Config {
+		c := base
+		c.Scheduler = kind
+		c.Channels = channels
+		c.PagePolicy = page
+		return c
+	}
+	for _, tc := range []struct {
+		label string
+		cfg   Config
+	}{
+		{"ATLAS", with(sched.ATLAS, 1, "OpenAdaptive")},
+		{"QoS", with(sched.QoS, 1, "OpenAdaptive")},
+		{"FCFS_Banks/ch4", with(sched.FCFSBanks, 4, "OpenAdaptive")},
+		{"ATLAS/ABPP", with(sched.ATLAS, 1, "ABPP")},
+		{"ATLAS/RBPP", with(sched.ATLAS, 1, "RBPP")},
+		{"FCFS_Banks/RBPP", with(sched.FCFSBanks, 1, "RBPP")},
+	} {
+		t.Run(tc.label, func(t *testing.T) {
+			m, sys := runModesSys(t, tc.cfg, tc.label)
+			if m.Retired == 0 {
+				t.Fatalf("%s: degenerate run retired nothing", tc.label)
+			}
+			if declineParks(sys) == 0 {
+				t.Fatalf("%s: the kernel never decline-parked", tc.label)
+			}
+		})
+	}
+}
+
+// TestDeclineParkTelemetry checks Stats.DeclineParks: positive under
+// ATLAS at scan depth 2, which declines legal options outside its scan
+// window, and zero under FR-FCFS (which never declines) and RL (which
+// declines but does not implement memctrl.DeclineHorizon, so it stays
+// hot).
+func TestDeclineParkTelemetry(t *testing.T) {
+	mix := tenant.NewMix("",
+		tenant.Spec{Profile: workload.DataServing(), Cores: 8},
+		tenant.Spec{Profile: workload.MemoryHog(), Cores: 8},
+	)
+	for _, tc := range []struct {
+		kind sched.Kind
+		want bool
+	}{
+		{sched.ATLAS, true},
+		{sched.FRFCFS, false},
+		{sched.RL, false},
+	} {
+		cfg := DefaultMixConfig(mix)
+		cfg.Scheduler = tc.kind
+		cfg.SchedOpts.ATLAS = sched.DefaultATLASConfig()
+		cfg.SchedOpts.ATLAS.ScanDepth = 2
+		cfg.WarmupCycles = 1_000
+		cfg.MeasureCycles = 8_000
+		cfg.WarmupInstrPerCore = 1_000
+		sys, err := NewSystem(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sys.Run()
+		if n := declineParks(sys); (n > 0) != tc.want {
+			t.Fatalf("%s: DeclineParks = %d, want positive: %v", tc.kind, n, tc.want)
+		}
+	}
 }
 
 // TestKernelWriteHeavyEquivalence pins the park-heavy regime the

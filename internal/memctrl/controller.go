@@ -2,7 +2,6 @@ package memctrl
 
 import (
 	"fmt"
-	"math/bits"
 
 	"cloudmc/internal/dram"
 	"cloudmc/internal/pagepolicy"
@@ -89,6 +88,10 @@ type Stats struct {
 	// feeds core.Metrics, so the bit-identity suites ignore them.
 	Parks uint64
 	Wakes uint64
+	// DeclineParks counts the subset of Parks established by a tick
+	// whose policy declined every legal option (see DeclineHorizon).
+	// Engine telemetry like Parks.
+	DeclineParks uint64
 }
 
 // RowHitRate returns hits / (hits + misses + conflicts).
@@ -154,6 +157,10 @@ type Controller struct {
 	ch     *dram.Channel
 	policy Policy
 	page   pagepolicy.Policy
+	// decliner is policy as a DeclineHorizon, or nil when the policy
+	// does not implement it (a declined option set then keeps the
+	// controller hot).
+	decliner DeclineHorizon
 	// pagePure records whether page's ShouldClose is a pure function
 	// of its context (pagepolicy.IsPure); it widens the enqueue fast
 	// path (see noteEnqueue).
@@ -223,6 +230,11 @@ type Controller struct {
 	// implies it was recorded by the parking tick (the hot path's
 	// wakeAt = now+1 is already <= now by the time anyone looks).
 	parkMode uint8
+	// declined marks a park established by declineHorizon: the policy
+	// declined legal options, so any enqueue must wake the controller
+	// (the new request may enter the policy's scan window). Like
+	// parkMode it is meaningful only while wakeAt > now.
+	declined bool
 
 	// bankQ buckets the queued requests per (rank, bank) so horizon
 	// recomputation after a change touches only the affected bank's
@@ -253,18 +265,6 @@ type Controller struct {
 	// scratch buffers reused across cycles to avoid allocation.
 	optBuf []Option
 	view   View
-
-	// Straight-port reference rebuild state, used only by
-	// buildOptionsRef (the per-tick O(queue) twin VerifyCandidateGroups
-	// and the property suites compare the incremental index against).
-	// The (rank, bank, row) grouping and per-bank oldest-ID index use
-	// epoch-stamped open addressing (no per-call clearing, no runtime
-	// map machinery).
-	refBuf     []Option
-	groups     groupTable
-	gkOrder    []uint32 // slot indices into groups, insertion order
-	bankOldest []uint64 // per bankIdx; valid iff bankEpoch matches
-	bankEpoch  []uint32
 
 	// tenants holds per-tenant accounting when TrackTenants enabled it
 	// (multi-tenant systems); nil otherwise.
@@ -342,66 +342,6 @@ type bankHorizon struct {
 	dataEpoch uint32
 }
 
-// groupTable indexes queued requests by (bankIdx, row), keeping the
-// oldest request of each group. Slots are invalidated wholesale by
-// bumping the epoch; load factor stays at or below 50% because the
-// table is sized by the queue capacities.
-type groupTable struct {
-	slots []groupSlot
-	mask  uint64
-	shift uint
-	epoch uint32
-}
-
-type groupSlot struct {
-	key   uint64
-	epoch uint32
-	//mclint:owns -- reference-rebuild scratch: every slot is epoch-invalidated at the top of each buildOptionsRef call, so a stale pointer is never dereferenced
-	req *Request
-}
-
-// newGroupTable sizes the table for at most maxGroups resident
-// entries: the smallest power of two >= 2*maxGroups (minimum 8),
-// keeping the load factor at or below 50%.
-func newGroupTable(maxGroups int) groupTable {
-	n := uint(bits.Len64(2*uint64(maxGroups) - 1))
-	if n < 3 {
-		n = 3
-	}
-	return groupTable{slots: make([]groupSlot, uint64(1)<<n), mask: uint64(1)<<n - 1, shift: 64 - n}
-}
-
-// reset invalidates every slot in O(1) by advancing the epoch. It
-// reports whether the epoch wrapped, so callers can clear their own
-// epoch-stamped side tables in the same (once per 2^32 resets) stroke.
-func (t *groupTable) reset() (wrapped bool) {
-	t.epoch++
-	if t.epoch == 0 {
-		// Wrapped: stale slots could alias the new epoch; clear once
-		// every 2^32 resets.
-		for i := range t.slots {
-			t.slots[i] = groupSlot{}
-		}
-		t.epoch = 1
-		wrapped = true
-	}
-	return wrapped
-}
-
-// slot returns the slot index for key, probing past live entries with
-// other keys; the returned slot either matches key or is free this
-// epoch.
-func (t *groupTable) slot(key uint64) uint32 {
-	i := (key * 0x9e3779b97f4a7c15) >> t.shift
-	for {
-		s := &t.slots[i]
-		if s.epoch != t.epoch || s.key == key {
-			return uint32(i)
-		}
-		i = (i + 1) & t.mask
-	}
-}
-
 // New builds a controller for channel ch with the given scheduling and
 // page-management policies.
 func New(cfg Config, ch *dram.Channel, policy Policy, page pagepolicy.Policy) (*Controller, error) {
@@ -412,11 +352,13 @@ func New(cfg Config, ch *dram.Channel, policy Policy, page pagepolicy.Policy) (*
 		return nil, fmt.Errorf("memctrl: nil channel, policy, or page policy")
 	}
 	banks := ch.Geo.Ranks * ch.Geo.Banks
+	decliner, _ := policy.(DeclineHorizon)
 	c := &Controller{
 		cfg:          cfg,
 		ch:           ch,
 		policy:       policy,
 		page:         page,
+		decliner:     decliner,
 		pagePure:     pagepolicy.IsPure(page),
 		pendingClose: make([]bool, banks),
 		bankQ:        make([]bankQueue, banks),
@@ -447,6 +389,7 @@ func (c *Controller) SetFastForward(on bool) {
 	c.fastPath = on
 	c.wakeAt = 0
 	c.parked = false
+	c.declined = false
 }
 
 // SetTrace installs a command-level trace (nil disables tracing).
@@ -601,10 +544,13 @@ func (c *Controller) scheduleCompletion(r *Request, at uint64) {
 // bank state is frozen while parked, so the only new wake-up
 // candidate is the enqueued request's own next command.
 //
-// The fast path requires three things, otherwise it falls back to the
+// The fast path requires four things, otherwise it falls back to the
 // full wake-up exactly as before:
 //   - an established horizon (wakeAt > now; a hot controller ticks
 //     this cycle regardless, so nothing is saved or risked);
+//   - an idle park, not a decline park: a controller whose policy
+//     declined legal options must re-run Pick, since the new request
+//     may enter the policy's scan window and change its decision;
 //   - no pending page-policy close whose decision this enqueue could
 //     affect: the full tick after an enqueue re-validates closes via
 //     ShouldClose with the new queue contents. For a pure policy
@@ -616,7 +562,7 @@ func (c *Controller) scheduleCompletion(r *Request, at uint64) {
 //     an empty-read-queue transition changes which queues the next
 //     tick considers, invalidating every bank's horizon at once.
 func (c *Controller) noteEnqueue(r *Request, now uint64) {
-	if !c.fastPath || c.wakeAt == 0 || c.wakeAt <= now {
+	if !c.fastPath || c.wakeAt == 0 || c.wakeAt <= now || c.declined {
 		c.wakeAt = 0
 		return
 	}
@@ -793,21 +739,95 @@ func (c *Controller) Tick(now uint64) {
 	}
 	c.policy.OnIssue(&c.view, picked, issued, now)
 
-	// 6. Establish the event horizon for the cycles ahead. If anything
-	// happened — or could have happened (options the policy declined
-	// must be re-offered next cycle) — the controller stays hot.
+	// 6. Establish the event horizon for the cycles ahead. A tick that
+	// issued anything stays hot. One that found no legal option parks
+	// until a command can become legal (idleHorizon). One whose policy
+	// declined every legal option parks only for a DeclineHorizon
+	// policy (declineHorizon): until an option joins the set, a close
+	// becomes issuable or a policy horizon fires, the next tick would
+	// offer the same view and get the same answer. A decliner without
+	// the interface (RL) must be re-offered its options every cycle.
 	if !c.fastPath {
 		return
 	}
-	if picked >= 0 || closed || len(c.view.Options) > 0 {
+	offered := len(c.view.Options) > 0
+	switch {
+	case picked >= 0 || closed || (offered && c.decliner == nil):
 		c.wakeAt = now + 1
+		c.declined = false
 		return
+	case offered:
+		c.wakeAt = c.declineHorizon(now, mixed)
+	default:
+		c.wakeAt = c.idleHorizon(now)
 	}
-	c.wakeAt = c.idleHorizon(now)
+	c.declined = offered
 	if c.wakeAt > now+1 {
 		c.parked = true
 		c.Stats.Parks++
+		if offered {
+			c.Stats.DeclineParks++
+		}
 	}
+}
+
+// declineHorizon computes the earliest future cycle at which a tick
+// whose policy declined every legal option could decide differently:
+// the first considered group whose candidate command becomes legal
+// (the option set grows), the first surviving pending page-policy
+// close that becomes issuable, the policy's next timed event, and the
+// policy's DeclineHorizon (a time-driven change of Pick on the same
+// view, such as ATLAS's starvation override). buildOptions refreshed
+// every considered group's cached candidate this tick, so each
+// group's optAt is exact; groups legal now are in the declined view
+// already. As in idleHorizon, tryPendingClose has just re-validated
+// the pending closes, and queue and bank state stay frozen until the
+// next enqueue (which wakes a decline park unconditionally),
+// completion or wake-up.
+//
+//mclint:hotpath
+func (c *Controller) declineHorizon(now uint64, mixed bool) uint64 {
+	mode := c.queueMode(mixed)
+	c.parkMode = mode
+
+	h := c.decliner.DeclineHorizon(&c.view)
+	grp := c.grp
+	if mode != modeWrites {
+		for _, gh := range c.readOrder {
+			if at := grp[gh].optAt; at > now && at < h {
+				h = at
+			}
+		}
+	}
+	if mode != modeReads {
+		for _, gh := range c.writeOrder {
+			if at := grp[gh].optAt; at > now && at < h {
+				h = at
+			}
+		}
+	}
+	if c.pendingCloseN > 0 {
+		for b, pending := range c.pendingClose {
+			if !pending {
+				continue
+			}
+			rank, bankNo := b/c.ch.Geo.Banks, b%c.ch.Geo.Banks
+			bank := c.ch.Bank(rank, bankNo)
+			loc := dram.Location{Channel: c.ch.ID, Rank: rank, Bank: bankNo, Row: bank.OpenRow}
+			if at := c.ch.EarliestIssue(dram.Command{Kind: dram.CmdPrecharge, Loc: loc}); at < h {
+				h = at
+			}
+		}
+	}
+	if eh, ok := c.policy.(EventHorizon); ok {
+		if at := eh.NextPolicyEvent(now); at < h {
+			h = at
+		}
+	}
+	if h <= now {
+		h = now + 1
+	}
+	return h
 }
 
 // idleHorizon computes the earliest future cycle at which this
@@ -1119,91 +1139,6 @@ func (c *Controller) buildOptions(now uint64, mixed bool) {
 		ReadQueue:      c.readQ,
 		WriteQueue:     c.writeQ,
 	}
-}
-
-// buildOptionsRef is the straight-port reference rebuild: the per-tick
-// O(queue) grouping pass buildOptions replaced, preserved verbatim as
-// the exactness twin. VerifyCandidateGroups and the differential
-// property suites regenerate the option list through it and require
-// bit-identical output from the incremental index; production code
-// never calls it.
-func (c *Controller) buildOptionsRef(now uint64, mixed bool) ([]Option, int) {
-	if c.groups.slots == nil {
-		// The reference state is allocated on first use: production
-		// code never rebuilds, so an ordinary controller should not
-		// pay for the twin's table.
-		c.groups = newGroupTable(c.cfg.ReadQueueCap + c.cfg.WriteQueueCap)
-		c.bankOldest = make([]uint64, len(c.bankQ))
-		c.bankEpoch = make([]uint32, len(c.bankQ))
-	}
-	c.refBuf = c.refBuf[:0]
-	if c.groups.reset() {
-		// bankEpoch is stamped with groups.epoch; a wrap makes ancient
-		// stamps alias the fresh epoch, so clear them together.
-		for i := range c.bankEpoch {
-			c.bankEpoch[i] = 0
-		}
-	}
-	c.gkOrder = c.gkOrder[:0]
-	epoch := c.groups.epoch
-
-	collect := func(q []*Request) {
-		for _, r := range q {
-			bk := r.Loc.Rank*c.ch.Geo.Banks + r.Loc.Bank
-			key := uint64(bk)<<32 | uint64(uint32(r.Loc.Row))
-			si := c.groups.slot(key)
-			s := &c.groups.slots[si]
-			if s.epoch != epoch {
-				*s = groupSlot{key: key, epoch: epoch, req: r}
-				c.gkOrder = append(c.gkOrder, si)
-			} else if r.ID < s.req.ID {
-				s.req = r
-			}
-			if c.bankEpoch[bk] != epoch || r.ID < c.bankOldest[bk] {
-				c.bankEpoch[bk] = epoch
-				c.bankOldest[bk] = r.ID
-			}
-		}
-	}
-	var pendingHits int
-	primary, secondary := c.consideredQueues(mixed)
-	collect(primary)
-	if secondary != nil {
-		collect(secondary)
-	}
-
-	for _, si := range c.gkOrder {
-		r := c.groups.slots[si].req
-		// The group's (rank, bank, row) is the representative
-		// request's own location.
-		loc := r.Loc
-		oldest := c.bankOldest[loc.Rank*c.ch.Geo.Banks+loc.Bank]
-		bank := c.ch.Bank(loc.Rank, loc.Bank)
-		switch {
-		case bank.State == dram.BankIdle:
-			cmd := dram.Command{Kind: dram.CmdActivate, Loc: loc}
-			if c.ch.CanIssue(now, cmd) {
-				c.refBuf = append(c.refBuf, Option{Cmd: cmd, Req: r, BankOldestID: oldest})
-			}
-		case bank.OpenRow == loc.Row:
-			pendingHits++
-			kind := dram.CmdRead
-			if r.Kind.IsWrite() {
-				kind = dram.CmdWrite
-			}
-			cmd := dram.Command{Kind: kind, Loc: loc}
-			if c.ch.CanIssue(now, cmd) {
-				c.refBuf = append(c.refBuf, Option{Cmd: cmd, Req: r, RowHit: true, BankOldestID: oldest})
-			}
-		default:
-			cmd := dram.Command{Kind: dram.CmdPrecharge, Loc: loc}
-			if c.ch.CanIssue(now, cmd) {
-				c.refBuf = append(c.refBuf, Option{Cmd: cmd, Req: r, BankOldestID: oldest})
-			}
-		}
-	}
-
-	return c.refBuf, pendingHits
 }
 
 // issue applies the chosen option and performs request/page-policy

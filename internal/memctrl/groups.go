@@ -8,8 +8,9 @@ import "cloudmc/internal/dram"
 // option builder is O(live groups) with cached legality instead of
 // O(queued requests) with a full per-tick rebuild. The index is the
 // authoritative input of buildOptions; buildOptionsRef (the straight-
-// port per-tick rebuild it replaced) survives as the reference twin
-// that VerifyCandidateGroups and the property suites compare against.
+// port per-tick rebuild it replaced) survives in the package tests
+// (refbuild_test.go) as the reference twin VerifyCandidateGroups
+// compares against.
 //
 // Ordering invariant. The option list must reproduce the reference
 // rebuild bit for bit, and the reference emits groups in first-

@@ -101,6 +101,44 @@ func (p *declinePolicy) Pick(v *View) int {
 	return p.frPolicy.Pick(v)
 }
 
+// headPolicy serves only options advancing the oldest request of the
+// queue being served, declining every other legal option until one of
+// them has waited patience cycles: ATLAS's bounded scan and starvation
+// override in miniature. It implements DeclineHorizon, so the harness
+// exercises decline parks under every page policy.
+type headPolicy struct {
+	frPolicy
+	patience uint64
+}
+
+func (p headPolicy) Pick(v *View) int {
+	q := v.ReadQueue
+	if v.WriteMode {
+		q = v.WriteQueue
+	}
+	best := -1
+	for i := range v.Options {
+		o := &v.Options[i]
+		if (len(q) == 0 || o.Req != q[0]) && o.Req.Age(v.Now) < p.patience {
+			continue
+		}
+		if best == -1 || o.Req.ID < v.Options[best].Req.ID {
+			best = i
+		}
+	}
+	return best
+}
+
+func (p headPolicy) DeclineHorizon(v *View) uint64 {
+	h := uint64(dram.Never)
+	for i := range v.Options {
+		if at := v.Options[i].Req.Arrival + p.patience; at < h {
+			h = at
+		}
+	}
+	return h
+}
+
 // horizonHarness replays one randomized request stream through a
 // fast-forward controller and a naive per-cycle twin, checking at
 // every cycle that the fast-forward horizon is exact and identical to
@@ -176,13 +214,16 @@ func horizonHarness(t *testing.T, seed int64, cycles uint64,
 		if err := fast.VerifyParkHorizon(now, 2000); err != nil {
 			t.Fatalf("cycle %d: %v", now, err)
 		}
-		if w := fast.ParkHorizon(); w > now+1 {
+		if w := fast.ParkHorizon(); w > now+1 && !fast.declined {
 			if ref := refIdleHorizon(fast, now); ref != w {
 				t.Fatalf("cycle %d: cached horizon %d != per-request reference %d", now, w, ref)
 			}
 		}
 	}
 
+	if _, ok := fast.Policy().(DeclineHorizon); ok && fast.Stats.DeclineParks == 0 {
+		t.Fatal("DeclineHorizon policy never decline-parked: the decline audit exercised nothing")
+	}
 	if fastDone != naiveDone {
 		t.Fatalf("completions diverged: fast %d, naive %d", fastDone, naiveDone)
 	}
@@ -200,8 +241,8 @@ func horizonHarness(t *testing.T, seed int64, cycles uint64,
 	ns.ReadQ, ns.WriteQ = stats.TimeWeighted{}, stats.TimeWeighted{}
 	// Parks/Wakes are engine telemetry, definitionally zero in the
 	// naive loop; everything architectural must still match exactly.
-	fs.Parks, fs.Wakes = 0, 0
-	ns.Parks, ns.Wakes = 0, 0
+	fs.Parks, fs.Wakes, fs.DeclineParks = 0, 0, 0
+	ns.Parks, ns.Wakes, ns.DeclineParks = 0, 0, 0
 	if !reflect.DeepEqual(fs, ns) {
 		t.Fatalf("controller stats diverged:\nfast:  %+v\nnaive: %+v", fs, ns)
 	}
@@ -221,14 +262,16 @@ func horizonHarness(t *testing.T, seed int64, cycles uint64,
 
 // TestHorizonExactnessRandomized sweeps the harness across policies
 // (plain FR-FCFS, a timed EventHorizon policy, an option-declining
-// policy) and every page policy, including the stateful predictive
-// ones whose ShouldClose schedule the enqueue fast path must not
-// perturb.
+// policy that stays hot, a DeclineHorizon policy that decline-parks)
+// and every page policy, including the stateful predictive ones whose
+// ShouldClose schedule the enqueue fast path and the decline park
+// must not perturb.
 func TestHorizonExactnessRandomized(t *testing.T) {
 	policies := map[string]func() Policy{
 		"frfcfs":  func() Policy { return frPolicy{} },
 		"timed":   func() Policy { return &timedPolicy{quantum: 700} },
 		"decline": func() Policy { return &declinePolicy{} },
+		"head":    func() Policy { return headPolicy{patience: 300} },
 	}
 	pages := map[string]func() pagepolicy.Policy{
 		"open":          func() pagepolicy.Policy { return pagepolicy.NewOpen() },

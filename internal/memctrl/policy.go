@@ -68,11 +68,15 @@ func (v *View) OldestOption() int {
 // values each command directly.
 //
 // Fast-forward contract: on cycles where the controller is provably
-// inert (no completion due, no legal command, nothing issued), the
-// controller may skip the Tick and OnIssue calls entirely. Policies
-// for which those calls are NOT no-ops on such cycles — e.g. anything
-// with clock-driven state — must implement EventHorizon so the
-// controller knows when it must wake up and run them.
+// inert (no completion due, nothing issued, and either no legal
+// command or — for DeclineHorizon policies — a declined option set
+// that cannot change), the controller may skip the Tick, Pick and
+// OnIssue calls entirely. Policies for which Tick or a no-issue
+// OnIssue is NOT a no-op on such cycles — e.g. anything with
+// clock-driven state — must implement EventHorizon so the controller
+// knows when it must wake up and run them. A policy that declines
+// legal options keeps the controller ticking every cycle unless it
+// implements DeclineHorizon.
 //
 // Lifetime contract: a *Request is owned by the controller and
 // recycled through a free list once its transfer completes. Policies
@@ -106,8 +110,9 @@ type Policy interface {
 // clock-driven state changes (the ATLAS quantum rollover).
 // NextPolicyEvent returns the next cycle at which the policy's Tick
 // must observe the clock even if the controller is otherwise inert;
-// the fast-forward engine never skips past it. Policies without timed
-// state need not implement the interface.
+// the fast-forward engine never skips past it, neither on an idle park
+// (no legal option) nor on a decline park (see DeclineHorizon).
+// Policies without timed state need not implement the interface.
 //
 // Contract: OnEnqueue must not move NextPolicyEvent earlier. An
 // enqueue into a parked controller re-arms the established horizon in
@@ -117,6 +122,25 @@ type Policy interface {
 // policies keep OnEnqueue stateless; sched's horizon tests pin this.)
 type EventHorizon interface {
 	NextPolicyEvent(now uint64) uint64
+}
+
+// DeclineHorizon is implemented by scheduling policies whose Pick
+// depends only on the View apart from View.Now, and whose Tick and
+// no-issue OnIssue calls change nothing before NextPolicyEvent. When
+// such a policy declines every offered option (Pick returns -1) and no
+// page-policy close issues, the controller parks instead of re-offering
+// the same options every cycle: the option set, the queues and the
+// policy state are then frozen until the next option becomes legal, a
+// pending close becomes issuable, the policy event fires, a request
+// arrives or a transfer completes. DeclineHorizon(v) returns the
+// earliest cycle t > v.Now at which Pick on v with Now = t could
+// return an option (ATLAS's starvation override), or dram.Never when
+// time alone never changes the decision. Policies whose Pick draws
+// randomness or whose hooks keep per-decision state (RL) must not
+// implement it. An enqueue into a decline-parked controller always
+// wakes it: the new request may enter the policy's scan window.
+type DeclineHorizon interface {
+	DeclineHorizon(v *View) uint64
 }
 
 // WriteAware is implemented by policies that schedule writes as

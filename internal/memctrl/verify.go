@@ -22,7 +22,7 @@ func (c *Controller) ParkHorizon() uint64 { return c.wakeAt }
 
 // VerifyParkHorizon checks that the event horizon established at
 // cycle now is exact, by replaying the parked window cycle by cycle
-// against dram.Channel.CanIssue:
+// against dram.Channel.CanIssue. For an idle park (nothing was legal):
 //
 //   - never late: no queued request's next command, no surviving
 //     pending close and no policy event becomes actionable strictly
@@ -31,6 +31,9 @@ func (c *Controller) ParkHorizon() uint64 { return c.wakeAt }
 //     the horizon is Never or was clamped to now+1, where there is no
 //     skipped window to verify).
 //
+// A decline park (the policy declined legal options) is checked by
+// verifyDeclinePark, which replays the policy's Pick as well.
+//
 // The scan is capped at maxScan cycles past now; a horizon further
 // out than the cap is only checked for lateness within the cap. The
 // check is pure — no controller, policy or device state is mutated —
@@ -38,6 +41,9 @@ func (c *Controller) ParkHorizon() uint64 { return c.wakeAt }
 func (c *Controller) VerifyParkHorizon(now uint64, maxScan uint64) error {
 	if !c.fastPath || c.wakeAt == 0 || c.wakeAt <= now+1 {
 		return nil // hot or unknown: no skipped window
+	}
+	if c.declined {
+		return c.verifyDeclinePark(now, maxScan)
 	}
 
 	// actionable reports whether any option (or surviving pending
@@ -109,198 +115,151 @@ func (c *Controller) VerifyParkHorizon(now uint64, maxScan uint64) error {
 	return nil
 }
 
-// VerifyCandidateGroups checks the incremental candidate-group index
-// (groups.go) against first principles: the structural invariants the
-// maintenance paths promise, then a behavioral comparison of
-// buildOptions against buildOptionsRef, the preserved straight-port
-// rebuild. It is the group-index twin of VerifyParkHorizon; the
-// property suites call it between ticks, production code never does.
+// verifyDeclinePark is VerifyParkHorizon for a park established by
+// declineHorizon. Options are legal throughout such a window, so the
+// checks track what the declined decision depends on, against a view
+// rebuilt from the queues at each replayed cycle (refCandidates):
 //
-// Precondition: call at a cycle boundary, before any command has been
-// issued at cycle now. The cached-legality argument (see group's
-// cacheOK comment) relies on the command bus being untouched this
-// cycle; calling mid-tick after an issue can report false mismatches.
-// The check folds pending enqueues and refreshes the per-group caches
-// and c.view — all state the next tick would recompute anyway — but
-// issues nothing and consults no policy.
-func (c *Controller) VerifyCandidateGroups(now uint64) error {
-	c.groupFold()
-
-	// Structural pass. Live handles are the ones reachable from the
-	// per-bank group lists; together with the free list they must
-	// partition the arena.
-	live := make(map[int32]int32, len(c.grp)) // handle -> bankIdx
-	rows := make(map[int64]bool)              // bankIdx<<32|row dedup
-	for bk := range c.bankQ {
-		for _, h := range c.bankQ[bk].groups {
-			if h < 0 || int(h) >= len(c.grp) {
-				return fmt.Errorf("memctrl: groups: bank %d lists out-of-range handle %d", bk, h)
-			}
-			if _, ok := live[h]; ok {
-				return fmt.Errorf("memctrl: groups: handle %d listed by two banks", h)
-			}
-			live[h] = int32(bk)
-			g := &c.grp[h]
-			if g.bank != int32(bk) {
-				return fmt.Errorf("memctrl: groups: handle %d in bank %d claims bank %d", h, bk, g.bank)
-			}
-			if int(g.rankNo)*c.ch.Geo.Banks+int(g.bankNo) != bk {
-				return fmt.Errorf("memctrl: groups: handle %d rank/bank %d/%d disagrees with bank index %d", h, g.rankNo, g.bankNo, bk)
-			}
-			if g.bankRef != c.ch.Bank(int(g.rankNo), int(g.bankNo)) || g.rankRef != &c.ch.Ranks[g.rankNo] {
-				return fmt.Errorf("memctrl: groups: handle %d has stale bank/rank pointers", h)
-			}
-			if len(g.reads) == 0 && len(g.writes) == 0 {
-				return fmt.Errorf("memctrl: groups: handle %d is live but empty", h)
-			}
-			key := int64(g.bank)<<32 | int64(int32(g.row))
-			if rows[key] {
-				return fmt.Errorf("memctrl: groups: bank %d row %d has two groups", bk, g.row)
-			}
-			rows[key] = true
-			for _, lst := range [][]*Request{g.reads, g.writes} {
-				for i, r := range lst {
-					if r.Loc.Row != g.row || r.Loc.Rank != int(g.rankNo) || r.Loc.Bank != int(g.bankNo) {
-						return fmt.Errorf("memctrl: groups: request %d filed in wrong group (bank %d row %d)", r.ID, bk, g.row)
-					}
-					if i > 0 && lst[i-1].ID >= r.ID {
-						return fmt.Errorf("memctrl: groups: handle %d list not ID-ascending at request %d", h, r.ID)
-					}
-				}
+//   - never late: strictly before wakeAt the legal option set never
+//     grows, no surviving pending close becomes issuable, neither
+//     NextPolicyEvent nor DeclineHorizon is due, and the policy's Pick
+//     on the rebuilt view keeps returning -1;
+//   - never early: at wakeAt the option set grows, a pending close
+//     becomes issuable, or one of the two policy horizons is due.
+//
+// Replaying Pick is sound because a DeclineHorizon policy's Pick is a
+// function of the View: it leaves nothing behind the simulation reads.
+func (c *Controller) verifyDeclinePark(now uint64, maxScan uint64) error {
+	dh, ok := c.policy.(DeclineHorizon)
+	if !ok {
+		return fmt.Errorf("memctrl: decline park under policy %s, which does not implement DeclineHorizon (established at %d)", c.policy.Name(), now)
+	}
+	cands, hits := c.refCandidates()
+	var buf []Option
+	viewAt := func(t uint64) View {
+		buf = buf[:0]
+		for _, o := range cands {
+			if c.ch.CanIssue(t, o.Cmd) {
+				buf = append(buf, o)
 			}
 		}
-	}
-	for _, h := range c.grpFree {
-		if h < 0 || int(h) >= len(c.grp) {
-			return fmt.Errorf("memctrl: groups: free list holds out-of-range handle %d", h)
-		}
-		if _, ok := live[h]; ok {
-			return fmt.Errorf("memctrl: groups: handle %d is both live and free", h)
+		return View{
+			Now: t, Options: buf,
+			ReadQLen: len(c.readQ), WriteQLen: len(c.writeQ),
+			WriteMode: c.effectiveWriteMode(), PendingRowHits: hits,
+			Channel: c.ch.ID, ReadQueue: c.readQ, WriteQueue: c.writeQ,
 		}
 	}
-	if len(live)+len(c.grpFree) != len(c.grp) {
-		return fmt.Errorf("memctrl: groups: arena of %d entries splits into %d live + %d free", len(c.grp), len(live), len(c.grpFree))
-	}
-
-	// Every queued request must be filed in its group's kind list, and
-	// the totals must match (so no group holds a stale extra).
-	nFiled := 0
-	for h := range live { //mclint:order-insensitive -- summing sizes
-		nFiled += len(c.grp[h].reads) + len(c.grp[h].writes)
-	}
-	if nFiled != len(c.readQ)+len(c.writeQ) {
-		return fmt.Errorf("memctrl: groups: %d requests filed, %d queued", nFiled, len(c.readQ)+len(c.writeQ))
-	}
-	find := func(r *Request) error {
-		bk := int32(r.Loc.Rank*c.ch.Geo.Banks + r.Loc.Bank)
-		for _, h := range c.bankQ[bk].groups {
-			g := &c.grp[h]
-			if g.row != r.Loc.Row {
+	closeDue := func(t uint64) bool {
+		for b, pending := range c.pendingClose {
+			if !pending {
 				continue
 			}
-			lst := g.reads
-			if r.Kind.IsWrite() {
-				lst = g.writes
+			rank, bankNo := b/c.ch.Geo.Banks, b%c.ch.Geo.Banks
+			bank := c.ch.Bank(rank, bankNo)
+			if bank.State != dram.BankActive {
+				continue
 			}
-			for _, x := range lst {
-				if x == r {
-					return nil
-				}
+			cmd := dram.Command{Kind: dram.CmdPrecharge, Loc: dram.Location{
+				Channel: c.ch.ID, Rank: rank, Bank: bankNo, Row: bank.OpenRow,
+			}}
+			if c.ch.CanIssue(t, cmd) {
+				return true
 			}
 		}
-		return fmt.Errorf("memctrl: groups: queued request %d not filed in any group", r.ID)
-	}
-	for _, r := range c.readQ {
-		if err := find(r); err != nil {
-			return err
-		}
-	}
-	for _, r := range c.writeQ {
-		if err := find(r); err != nil {
-			return err
-		}
+		return false
 	}
 
-	// Order arrays: exactly the groups holding that kind, ascending by
-	// oldest-member ID.
-	checkOrder := func(name string, order []int32, writes bool) error {
-		seen := make(map[int32]bool, len(order))
-		prev := uint64(0)
-		for i, h := range order {
-			if _, ok := live[h]; !ok {
-				return fmt.Errorf("memctrl: groups: %s holds dead handle %d", name, h)
-			}
-			if seen[h] {
-				return fmt.Errorf("memctrl: groups: %s holds handle %d twice", name, h)
-			}
-			seen[h] = true
-			key := c.orderKey(h, writes)
-			if i > 0 && key <= prev {
-				return fmt.Errorf("memctrl: groups: %s not key-ascending at handle %d", name, h)
-			}
-			prev = key
+	base := viewAt(now)
+	declined := len(base.Options)
+	if declined == 0 {
+		return fmt.Errorf("memctrl: decline park with no legal option at %d", now)
+	}
+	declineAt := dh.DeclineHorizon(&base)
+	policyEvent := uint64(dram.Never)
+	if eh, ok := c.policy.(EventHorizon); ok {
+		policyEvent = eh.NextPolicyEvent(now)
+	}
+
+	limit := c.wakeAt
+	capped := false
+	if maxScan > 0 && limit-now > maxScan {
+		limit = now + maxScan
+		capped = true
+	}
+	for t := now + 1; t < limit; t++ {
+		v := viewAt(t)
+		if len(v.Options) > declined {
+			return fmt.Errorf("memctrl: late decline horizon: %d options legal at cycle %d (%d declined) but parked until %d (established at %d)", len(v.Options), t, declined, c.wakeAt, now)
 		}
-		want := 0
-		for h := range live { //mclint:order-insensitive -- membership count; order picks at most which error reports first
-			n := len(c.grp[h].reads)
-			if writes {
-				n = len(c.grp[h].writes)
-			}
-			if n > 0 {
-				want++
-				if !seen[h] {
-					return fmt.Errorf("memctrl: groups: handle %d missing from %s", h, name)
-				}
-			}
+		if closeDue(t) {
+			return fmt.Errorf("memctrl: late decline horizon: pending close issuable at cycle %d but parked until %d (established at %d)", t, c.wakeAt, now)
 		}
-		if want != len(order) {
-			return fmt.Errorf("memctrl: groups: %s lists %d groups, want %d", name, len(order), want)
+		if policyEvent <= t || declineAt <= t {
+			return fmt.Errorf("memctrl: late decline horizon: policy event %d / decline horizon %d due by cycle %d but parked until %d (established at %d)", policyEvent, declineAt, t, c.wakeAt, now)
 		}
+		if p := c.policy.Pick(&v); p >= 0 {
+			return fmt.Errorf("memctrl: late decline horizon: policy picks option %d at cycle %d but parked until %d (established at %d)", p, t, c.wakeAt, now)
+		}
+	}
+	if capped || c.wakeAt == dram.Never {
 		return nil
 	}
-	if err := checkOrder("readOrder", c.readOrder, false); err != nil {
-		return err
-	}
-	if err := checkOrder("writeOrder", c.writeOrder, true); err != nil {
-		return err
-	}
-
-	// Per-bank oldest-ID index.
-	for bk := range c.bankQ {
-		minR, minW := uint64(noID), uint64(noID)
-		for _, h := range c.bankQ[bk].groups {
-			g := &c.grp[h]
-			if len(g.reads) > 0 && g.reads[0].ID < minR {
-				minR = g.reads[0].ID
-			}
-			if len(g.writes) > 0 && g.writes[0].ID < minW {
-				minW = g.writes[0].ID
-			}
-		}
-		if c.bankMinRead[bk] != minR || c.bankMinWrite[bk] != minW {
-			return fmt.Errorf("memctrl: groups: bank %d oldest-ID index (%d, %d), want (%d, %d)",
-				bk, c.bankMinRead[bk], c.bankMinWrite[bk], minR, minW)
-		}
-	}
-
-	// Behavioral pass: the incremental build must reproduce the
-	// reference rebuild bit for bit, in every queue-selection mode the
-	// current state can express.
-	for _, mixed := range []bool{false, true} {
-		ref, refHits := c.buildOptionsRef(now, mixed)
-		c.buildOptions(now, mixed)
-		got, gotHits := c.view.Options, c.view.PendingRowHits
-		if len(got) != len(ref) {
-			return fmt.Errorf("memctrl: groups: mixed=%v: %d options, reference built %d", mixed, len(got), len(ref))
-		}
-		for i := range ref {
-			if got[i] != ref[i] {
-				return fmt.Errorf("memctrl: groups: mixed=%v: option %d = %+v, reference built %+v", mixed, i, got[i], ref[i])
-			}
-		}
-		if gotHits != refHits {
-			return fmt.Errorf("memctrl: groups: mixed=%v: PendingRowHits %d, reference counted %d", mixed, gotHits, refHits)
-		}
+	if len(viewAt(c.wakeAt).Options) <= declined && !closeDue(c.wakeAt) &&
+		policyEvent != c.wakeAt && declineAt != c.wakeAt {
+		return fmt.Errorf("memctrl: early decline horizon: nothing changes at wake cycle %d (established at %d)", c.wakeAt, now)
 	}
 	return nil
+}
+
+// refCandidates rebuilds from the queues alone every candidate command
+// the option builder derives under the current queue mode — one per
+// (rank, bank, row) group in first-appearance order (primary queue,
+// then secondary), each carried by the group's oldest considered
+// request with its bank's oldest considered ID — and counts the
+// row-hit candidates (View.PendingRowHits). It shares nothing with
+// the candidate-group index or its caches and is quadratic in the
+// queue length; legality at a cycle is left to CanIssue, since bank
+// and queue state are frozen while parked.
+func (c *Controller) refCandidates() ([]Option, int) {
+	primary, secondary := c.consideredQueues(considersWrites(c.policy))
+	qs := [][]*Request{primary, secondary}
+	var cands []Option
+	hits := 0
+	for _, q := range qs {
+		for _, r := range q {
+			seen := false
+			for i := range cands {
+				l := cands[i].Req.Loc
+				if l.Rank == r.Loc.Rank && l.Bank == r.Loc.Bank && l.Row == r.Loc.Row {
+					seen = true
+					break
+				}
+			}
+			if seen {
+				continue
+			}
+			rep, oldest := r, uint64(noID)
+			for _, q2 := range qs {
+				for _, x := range q2 {
+					if x.Loc.Rank != r.Loc.Rank || x.Loc.Bank != r.Loc.Bank {
+						continue
+					}
+					if x.ID < oldest {
+						oldest = x.ID
+					}
+					if x.Loc.Row == r.Loc.Row && x.ID < rep.ID {
+						rep = x
+					}
+				}
+			}
+			cmd := c.commandFor(rep)
+			hit := cmd.Kind.IsColumn()
+			if hit {
+				hits++
+			}
+			cands = append(cands, Option{Cmd: cmd, Req: rep, RowHit: hit, BankOldestID: oldest})
+		}
+	}
+	return cands, hits
 }

@@ -195,6 +195,16 @@ func (p *ATLASPolicy) Pick(v *memctrl.View) int {
 	return p.scan.pick(v, p.tracker.rank, p.byTenant)
 }
 
+// DeclineHorizon implements memctrl.DeclineHorizon: Pick depends on
+// the view's options and read queue plus ranks that move only at the
+// quantum boundary (NextPolicyEvent), so a declined view changes its
+// answer with time alone only through the starvation override.
+//
+//mclint:hotpath
+func (p *ATLASPolicy) DeclineHorizon(v *memctrl.View) uint64 {
+	return p.scan.declineHorizon(v)
+}
+
 // rankScan is the bounded pick logic ATLAS and QoS share: starving
 // requests first, oldest-first; otherwise walk the queued reads in
 // (rank, age) order and issue the first legal command found within
@@ -294,4 +304,23 @@ func (s *rankScan) pick(v *memctrl.View, ranks []int, byTenant bool) int {
 		}
 	}
 	return best
+}
+
+// declineHorizon returns the first cycle after v.Now at which pick
+// could serve an option of v it declines at v.Now: the earliest cycle
+// an offered request reaches the starvation threshold. In write mode
+// pick defers to FR-FCFS, which never declines, so time changes
+// nothing.
+func (s *rankScan) declineHorizon(v *memctrl.View) uint64 {
+	h := uint64(dram.Never)
+	if v.WriteMode {
+		return h
+	}
+	for i := range v.Options {
+		arr := v.Options[i].Req.Arrival
+		if at := arr + s.starvation; at >= arr && at < h {
+			h = at
+		}
+	}
+	return h
 }

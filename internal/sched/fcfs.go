@@ -37,6 +37,13 @@ func (*FCFSBanksPolicy) Pick(v *memctrl.View) int {
 	return best
 }
 
+// DeclineHorizon implements memctrl.DeclineHorizon: Pick reads only
+// each option's request and bank-oldest ID, so a declined view stays
+// declined until its options change.
+//
+//mclint:hotpath
+func (*FCFSBanksPolicy) DeclineHorizon(*memctrl.View) uint64 { return dram.Never }
+
 // OnIssue implements memctrl.Policy.
 func (*FCFSBanksPolicy) OnIssue(*memctrl.View, int, dram.Command, uint64) {}
 

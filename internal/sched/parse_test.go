@@ -37,3 +37,26 @@ func TestParseKindErrorDeterministic(t *testing.T) {
 		t.Fatalf("error = %q, want %q", err1, want)
 	}
 }
+
+// FuzzParseKind checks the parser boundary: every input either
+// returns an error or parses to a Kind whose String() parses back to
+// the same Kind.
+func FuzzParseKind(f *testing.F) {
+	for _, k := range allKinds {
+		f.Add(k.String())
+		f.Add(strings.ToLower(k.String()))
+	}
+	for _, s := range []string{"", "nope", "Kind(9)", "atlas ", "FR_FCFS", "ATLAſ", "\x00"} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, name string) {
+		k, err := ParseKind(name)
+		if err != nil {
+			return
+		}
+		back, err := ParseKind(k.String())
+		if err != nil || back != k {
+			t.Fatalf("ParseKind(%q) = %v, but ParseKind(%q) = %v, %v", name, k, k.String(), back, err)
+		}
+	})
+}

@@ -241,6 +241,15 @@ func (p *QoSPolicy) OnIssue(v *memctrl.View, picked int, issued dram.Command, _ 
 	p.tracker.AddService(p.slot(v.Options[picked].Req), 1)
 }
 
+// DeclineHorizon implements memctrl.DeclineHorizon exactly as ATLAS
+// does: ranks move only at quantum boundaries, so only the starvation
+// override changes a declined view's answer with time.
+//
+//mclint:hotpath
+func (p *QoSPolicy) DeclineHorizon(v *memctrl.View) uint64 {
+	return p.scan.declineHorizon(v)
+}
+
 // Pick implements memctrl.Policy: starvation override first, then the
 // bounded scan in (SLO rank, age) order.
 //
