@@ -454,22 +454,28 @@ func BenchmarkControllerParkReArm(b *testing.B) {
 	b.StartTimer()
 }
 
-// BenchmarkBuildOptions isolates the busy-path option builder: a
-// controller with a standing read queue ticks under FR-FCFS, issuing
-// one command per cycle while enqueues keep the queue at a fixed
-// depth — the steady-state busy regime where the per-tick candidate
-// grouping dominates. q48 fits the default queue caps; q224 is the
-// deep-queue variant (the hyperscale regime ISSUE 9 targets), where
-// rebuilding the group table per tick costs O(queue) but the actual
-// change per tick is one dequeue plus one enqueue. Requests spread
-// over every bank with a few rows per bank, so the option set holds a
-// realistic mix of activates, row hits and conflicts. allocs/op is
-// reported: the steady-state busy path is expected to run
-// allocation-free. The atlas-* variants run the same loop under ATLAS
-// (scan depth 2, a 10k-cycle quantum so rankings roll over during the
-// run) with requests spread over 16 cores, covering the policy's Pick
-// and quantum Tick, which the Policy interface hides from hotalloc.
-func BenchmarkBuildOptions(b *testing.B) {
+// BenchmarkControllerTickRefill times one full Controller.Tick plus
+// the enqueues that refill the read queue to a fixed depth: a
+// controller with a standing read queue issues about one command per
+// cycle, the busy regime where the per-tick option build dominates. q48
+// fits the default queue caps; q224 is the deep-queue variant (the
+// hyperscale regime), where rebuilding the candidate groups per tick
+// would cost O(queue) but the actual change per tick is one dequeue
+// plus one enqueue. Requests spread over every bank with a few rows per
+// bank, so the option set holds a realistic mix of activates, row hits
+// and conflicts. allocs/op is reported: the steady-state busy path is
+// expected to run allocation-free.
+//
+// The atlas-* variants run the same loop under ATLAS (a 10k-cycle
+// quantum so rankings roll over during the run, requests spread over
+// 16 cores), covering the policy's Pick, Tick and OnIssue, which the
+// Policy interface hides from hotalloc. Their StarvationThreshold is 0,
+// so every queued read counts as starving and Pick serves the oldest
+// legal option: it never declines, so the controller never
+// decline-parks and every timed Tick builds options (checked through
+// Stats.DeclineParks). The declining scan-window path is pinned at 0
+// allocations by memctrl's TestDeclineParkTickAllocFree instead.
+func BenchmarkControllerTickRefill(b *testing.B) {
 	geo := dram.Geometry{Channels: 1, Ranks: 4, Banks: 8, Rows: 1 << 14, Columns: 64, BlockBytes: 64}
 	for _, bc := range []struct {
 		prefix string
@@ -478,14 +484,14 @@ func BenchmarkBuildOptions(b *testing.B) {
 		for _, depth := range []int{48, 224} {
 			depth, bc := depth, bc
 			b.Run(bc.prefix+"q"+itoa(depth), func(b *testing.B) {
-				benchBuildOptions(b, geo, bc.kind, depth)
+				benchTickRefill(b, geo, bc.kind, depth)
 			})
 		}
 	}
 }
 
-// benchBuildOptions is one BenchmarkBuildOptions variant.
-func benchBuildOptions(b *testing.B, geo dram.Geometry, kind sched.Kind, depth int) {
+// benchTickRefill is one BenchmarkControllerTickRefill variant.
+func benchTickRefill(b *testing.B, geo dram.Geometry, kind sched.Kind, depth int) {
 	cfg := memctrl.DefaultConfig()
 	cfg.ReadQueueCap = depth + 16
 	cfg.WriteQueueCap = depth + 16
@@ -493,7 +499,7 @@ func benchBuildOptions(b *testing.B, geo dram.Geometry, kind sched.Kind, depth i
 	cfg.WriteLo = depth / 4
 	ch := dram.NewChannel(0, geo, dram.DDR3_1600())
 	opts := sched.Opts{Cores: 16, ATLAS: sched.ATLASConfig{
-		QuantumCycles: 10_000, Alpha: 0.875, StarvationThreshold: 1_250, ScanDepth: 2,
+		QuantumCycles: 10_000, Alpha: 0.875, StarvationThreshold: 0, ScanDepth: 2,
 	}}
 	pol := sched.NewFactoryOpts(kind, opts)(0)
 	ctl, err := memctrl.New(cfg, ch, pol, pagepolicy.NewOpenAdaptive())
@@ -537,6 +543,10 @@ func benchBuildOptions(b *testing.B, geo dram.Geometry, kind sched.Kind, depth i
 				break
 			}
 		}
+	}
+	b.StopTimer()
+	if n := ctl.Stats.DeclineParks; n != 0 {
+		b.Fatalf("the controller decline-parked %d times: timed ticks skipped the option build", n)
 	}
 }
 

@@ -160,15 +160,13 @@ type Config struct {
 	// bit-identical Metrics.
 	Seed uint64
 
-	// FastForward selects the event kernel (kernel.go): only components
-	// that are due are ticked, and when every core is stalled and every
-	// controller is inert, Run advances the clock in one jump to the
-	// earliest cycle at which any component can change state. Clear,
-	// it selects the naive per-cycle loop, the reference oracle. The
-	// resulting Metrics are bit-identical either way (the equivalence
-	// suites in fastforward_test.go and kernel_test.go enforce this);
-	// the flag exists to run that comparison and to debug the kernel
-	// itself. DefaultConfig enables it.
+	// FastForward selects the event kernel (kernel.go): every cycle is
+	// stepped, but stalled cores and parked controllers are skipped.
+	// Clear, it selects the naive per-cycle loop, the reference
+	// oracle. The resulting Metrics are bit-identical either way (the
+	// equivalence suites in fastforward_test.go and kernel_test.go
+	// enforce this); the flag exists to run that comparison and to
+	// debug the kernel itself. DefaultConfig enables it.
 	FastForward bool
 }
 

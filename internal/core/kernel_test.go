@@ -177,8 +177,8 @@ func TestKernelMixEquivalence(t *testing.T) {
 }
 
 // TestKernelChunkedAdvance checks that kernel-mode Advance composes:
-// uneven chunk boundaries (which force settles and jump truncation)
-// land on the same state as one call.
+// uneven chunk boundaries (each of which settles the blocked cores'
+// stall counters) land on the same state as one call.
 func TestKernelChunkedAdvance(t *testing.T) {
 	cfg := DefaultConfig(workload.WebSearch())
 	cfg.WarmupInstrPerCore = 1_000
@@ -409,6 +409,56 @@ func TestDeclineParkTelemetry(t *testing.T) {
 		sys.Run()
 		if n := declineParks(sys); (n > 0) != tc.want {
 			t.Fatalf("%s: DeclineParks = %d, want positive: %v", tc.kind, n, tc.want)
+		}
+	}
+}
+
+// TestParkCountersWholeRun checks the park telemetry over whole Run
+// calls, across the warmup-boundary stats reset: every wake ends a
+// counted park, including one left open at the reset, so each
+// controller reports Wakes <= Parks and DeclineParks <= Parks. The
+// cells are colo-atlas-like DS:8+HOG:8 colocations on one channel, in
+// the configurations where controllers park most: ATLAS (idle and
+// decline parks) and FR-FCFS (idle parks only), shared and with
+// banks+ways isolation, at eight seeds so the reset lands inside a
+// park in some of them.
+func TestParkCountersWholeRun(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full simulations are slow")
+	}
+	mix := tenant.Pair(workload.DataServing(), workload.MemoryHog(), 8)
+	for _, tc := range []struct {
+		kind sched.Kind
+		iso  Isolation
+	}{
+		{sched.ATLAS, Isolation{BankPartition: true, WayPartition: true}},
+		{sched.ATLAS, Isolation{}},
+		{sched.FRFCFS, Isolation{}},
+		{sched.FRFCFS, Isolation{BankPartition: true, WayPartition: true}},
+	} {
+		for seed := uint64(1); seed <= 8; seed++ {
+			cfg := DefaultMixConfig(mix)
+			cfg.Scheduler = tc.kind
+			cfg.Isolation = tc.iso
+			cfg.Seed = seed
+			cfg.WarmupCycles = 3_000
+			cfg.MeasureCycles = 6_000
+			cfg.WarmupInstrPerCore = 1_000
+			cfg.SchedOpts.ATLAS = sched.ATLASConfig{
+				QuantumCycles: 2_000, Alpha: 0.875, StarvationThreshold: 250, ScanDepth: 2,
+			}
+			sys, err := NewSystem(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sys.Run()
+			for i, ctl := range sys.ctrls {
+				st := ctl.Stats
+				if st.Wakes > st.Parks || st.DeclineParks > st.Parks {
+					t.Errorf("%s/%s seed %d mc%d: wakes %d, decline parks %d, parks %d: want both <= parks",
+						tc.kind, tc.iso, seed, i, st.Wakes, st.DeclineParks, st.Parks)
+				}
+			}
 		}
 	}
 }

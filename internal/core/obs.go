@@ -35,7 +35,7 @@ func (s *System) AttachTrace(t memctrl.CommandTrace) {
 // obsSnapshot copies the simulator's cumulative counters into an obs
 // snapshot at the current cycle. Counters are settled at every call
 // site: chunk boundaries in kernel mode end with settleCores, and the
-// scan/naive loops apply stall credit eagerly.
+// naive loop applies stall credit eagerly.
 func (s *System) obsSnapshot() *obs.Snapshot {
 	sn := &obs.Snapshot{
 		Cycle:         s.cycle,

@@ -410,9 +410,8 @@ func (s *System) miss(now uint64, core int, addr uint64, store bool) cpu.AccessR
 
 // scheduleFill queues a completed read for delivery at cycle `at`
 // (insertion sort, stable in arrival order for equal cycles; the
-// queue is bounded by the MSHR capacity) and keeps the kernel's fill
-// source armed at the new head. Controllers call it through the
-// OnDone closure from inside Controller.Tick, in both loop modes.
+// queue is bounded by the MSHR capacity). Controllers call it through
+// the OnDone closure from inside Controller.Tick, in both loop modes.
 func (s *System) scheduleFill(at uint64, e *mshrEntry) {
 	i := len(s.fillq)
 	s.fillq = append(s.fillq, delayedFill{})
@@ -421,7 +420,6 @@ func (s *System) scheduleFill(at uint64, e *mshrEntry) {
 		i--
 	}
 	s.fillq[i] = delayedFill{at: at, e: e}
-	s.armFill()
 }
 
 // deliverFills applies all fills due by `now`. Pops copy the queue
@@ -730,29 +728,6 @@ func (s *System) stepNaive() {
 		ctl.Tick(now)
 	}
 	s.cycle++
-}
-
-// negotiateIOJump asks every IO agent to confirm up to n upcoming
-// cycles silent (consuming their per-cycle injection draws exactly
-// once via Scan) and returns the largest jump all agents agree to,
-// consuming that many confirmed-silent cycles with Skip. Zero means
-// some agent fires this cycle and the caller must step. A jump cut
-// short by one agent leaves the others' scanned-silent windows to be
-// absorbed by their later Next calls.
-func (s *System) negotiateIOJump(n uint64) uint64 {
-	for _, a := range s.ios {
-		idle, fired := a.Scan(n)
-		if fired && idle == 0 {
-			return 0
-		}
-		if idle < n {
-			n = idle
-		}
-	}
-	for _, a := range s.ios {
-		a.Skip(n)
-	}
-	return n
 }
 
 // Advance simulates n cycles from the current clock, using the event

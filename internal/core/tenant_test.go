@@ -37,17 +37,17 @@ func runMix(t *testing.T, m tenant.Mix, k sched.Kind, ff bool) Metrics {
 }
 
 // TestMixedTenantFastForwardEquivalence extends the equivalence suite
-// to colocation runs: the event-horizon engine must stay bit-identical
-// to the naive loop when several tenants — including two independent
-// DMA agents whose idle windows interleave — share the machine.
+// to colocation runs: the event kernel must stay bit-identical to the
+// naive loop when several tenants — including two independent DMA
+// agents — share the machine.
 func TestMixedTenantFastForwardEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("paired simulations are slow")
 	}
 	mixes := []tenant.Mix{
 		tenant.Pair(workload.DataServing(), workload.MemoryHog(), 8),
-		// Two IO-carrying tenants: exercises the multi-agent Scan/Skip
-		// path where one agent's fire cuts another's jump short.
+		// Two IO-carrying tenants: both agents inject every cycle, in
+		// tenant order, into controllers that may be parked.
 		tenant.Pair(workload.WebFrontend(), workload.MediaStreaming(), 8),
 		tenant.NewMix("",
 			tenant.Spec{Profile: workload.WebSearch(), Cores: 4},

@@ -212,7 +212,7 @@ func (c *Core) NextEvent(now uint64) uint64 {
 // Windows are additive: splitting [from, to) at any boundary and
 // calling Advance per segment accumulates the same totals, which is
 // what lets the event kernel settle blocked cores lazily (on wake-up
-// or at an Advance boundary) instead of on every clock jump.
+// or at an Advance boundary) instead of on every skipped cycle.
 func (c *Core) Advance(from, to uint64) {
 	if to <= from {
 		return

@@ -1,17 +1,16 @@
 // Package horizonarm guards the event-kernel arming contract of
 // cloudmc/internal/core and cloudmc/internal/memctrl: any exported
 // entry point that can move a controller's NextEvent/EarliestIssue
-// horizon earlier must re-arm the kernel wake-up queue somewhere in
+// horizon earlier must re-arm the controller's wake-up somewhere in
 // its (intra-package, transitive) call path — otherwise a parked
-// source sleeps through work that just became due and the kernel
+// controller sleeps through work that just became due and the kernel
 // diverges from the naive per-cycle loop.
 //
 // The obligations are keyed to the mutations that can create earlier
 // work, and the arming primitives that discharge them:
 //
 //	internal/core:    a call to Controller.EnqueueRead/EnqueueWrite
-//	                  requires notifyCtrl in the call path; an insert
-//	                  into the fill queue (s.fillq) requires armFill.
+//	                  requires notifyCtrl in the call path.
 //	internal/memctrl: a mutation of the request queues (readQ/writeQ)
 //	                  requires noteEnqueue or a wakeAt write (resetting
 //	                  the horizon to "unknown" forces a full tick).
@@ -21,8 +20,7 @@
 // declaration, via the shared callgraph substrate), checked per
 // exported function: an entry point whose closure contains an
 // obligation but none of its arming primitives is flagged. Unexported
-// helpers are deliberately exempt — stepKernel pops the fill queue
-// and re-arms in its caller — because the contract binds the
+// helpers are deliberately exempt, because the contract binds the
 // boundaries other packages can call into.
 package horizonarm
 
@@ -37,8 +35,8 @@ import (
 var Analyzer = &analysis.Analyzer{
 	Name: "horizonarm",
 	Doc: "requires exported entry points of cloudmc/internal/core and cloudmc/internal/memctrl " +
-		"that can move a controller horizon earlier to re-arm the kernel wake-up queue " +
-		"(notifyCtrl/armFill/noteEnqueue in the call path)",
+		"that can move a controller horizon earlier to re-arm the controller's wake-up " +
+		"(notifyCtrl/noteEnqueue in the call path)",
 	Run: run,
 }
 
@@ -47,9 +45,7 @@ var Analyzer = &analysis.Analyzer{
 // callgraph substrate; only the domain facts are collected here.
 type funcFacts struct {
 	callsEnqueue  bool // call to a method named EnqueueRead/EnqueueWrite
-	mutatesFillq  bool // assignment through a selector named fillq
 	callsNotify   bool // call to notifyCtrl
-	callsArmFill  bool // call to armFill
 	mutatesQueues bool // assignment through a selector named readQ/writeQ
 	callsNote     bool // call to noteEnqueue
 	setsWakeAt    bool // assignment through a selector named wakeAt
@@ -87,9 +83,7 @@ func run(pass *analysis.Pass) error {
 				return false
 			}
 			cl.callsEnqueue = cl.callsEnqueue || ff.callsEnqueue
-			cl.mutatesFillq = cl.mutatesFillq || ff.mutatesFillq
 			cl.callsNotify = cl.callsNotify || ff.callsNotify
-			cl.callsArmFill = cl.callsArmFill || ff.callsArmFill
 			cl.mutatesQueues = cl.mutatesQueues || ff.mutatesQueues
 			cl.callsNote = cl.callsNote || ff.callsNote
 			cl.setsWakeAt = cl.setsWakeAt || ff.setsWakeAt
@@ -98,11 +92,7 @@ func run(pass *analysis.Pass) error {
 		if isCore {
 			if cl.callsEnqueue && !cl.callsNotify {
 				pass.Reportf(n.Decl.Name.Pos(), "exported entry point %s reaches Controller.EnqueueRead/EnqueueWrite "+
-					"but never re-arms the kernel wake-up queue (notifyCtrl missing from its call path)", n.Name())
-			}
-			if cl.mutatesFillq && !cl.callsArmFill {
-				pass.Reportf(n.Decl.Name.Pos(), "exported entry point %s mutates the fill queue "+
-					"but never re-arms the fill source (armFill missing from its call path)", n.Name())
+					"but never re-arms the controller's wake-up (notifyCtrl missing from its call path)", n.Name())
 			}
 		}
 		if isMemctrl {
@@ -128,8 +118,6 @@ func collect(n *callgraph.Node) *funcFacts {
 			ff.callsEnqueue = true
 		case "notifyCtrl":
 			ff.callsNotify = true
-		case "armFill":
-			ff.callsArmFill = true
 		case "noteEnqueue":
 			ff.callsNote = true
 		}
@@ -170,8 +158,6 @@ func noteTarget(ff *funcFacts, expr ast.Expr) {
 		return
 	}
 	switch sel.Sel.Name {
-	case "fillq":
-		ff.mutatesFillq = true
 	case "readQ", "writeQ":
 		ff.mutatesQueues = true
 	case "wakeAt":

@@ -1,6 +1,6 @@
 // Package core is the horizonarm fixture for the internal/core rules:
 // exported entry points reaching EnqueueRead/EnqueueWrite need
-// notifyCtrl in their call path, fill-queue mutations need armFill.
+// notifyCtrl in their call path.
 package core
 
 // Controller stands in for memctrl.Controller.
@@ -14,12 +14,10 @@ func (c *Controller) EnqueueWrite(a int) bool { c.q = append(c.q, a); return tru
 
 // System stands in for core.System.
 type System struct {
-	ctrl  *Controller
-	fillq []uint64
+	ctrl *Controller
 }
 
 func (s *System) notifyCtrl(ch int) {}
-func (s *System) armFill()          {}
 
 // Good discharges the enqueue obligation through a helper.
 func (s *System) Good(a int) {
@@ -36,29 +34,6 @@ func (s *System) Bad(a int) { // want `Bad reaches Controller.EnqueueRead/Enqueu
 	s.ctrl.EnqueueWrite(a)
 }
 
-// GoodFill pairs the fill-queue insert with armFill.
-func (s *System) GoodFill(at uint64) {
-	s.fillq = append(s.fillq, at)
-	s.armFill()
-}
-
-// BadFill inserts without re-arming the fill source.
-func (s *System) BadFill(at uint64) { // want `BadFill mutates the fill queue but never re-arms the fill source`
-	s.fillq = append(s.fillq, at)
-}
-
-// popFill is unexported: not an entry point, so the missing armFill is
-// its exported callers' problem (Drain below re-arms).
-func (s *System) popFill() {
-	s.fillq = s.fillq[1:]
-}
-
-// Drain pops then re-arms: the closure contains both.
-func (s *System) Drain() {
-	s.popFill()
-	s.armFill()
-}
-
 // GoodClosure shows function-literal bodies count toward the
 // enclosing entry point's closure.
 func (s *System) GoodClosure(a int) {
@@ -70,7 +45,7 @@ func (s *System) GoodClosure(a int) {
 }
 
 // ReadOnly has no obligation.
-func (s *System) ReadOnly() int { return len(s.fillq) }
+func (s *System) ReadOnly() int { return len(s.ctrl.q) }
 
 // Justified demonstrates the escape hatch.
 //

@@ -2,7 +2,7 @@
 // suite: maprange (no map-iteration order leaks), nodeterm (no
 // ambient nondeterminism sources), epochbump (dram timing mutations
 // bump their constraint epoch), horizonarm (horizon-moving entry
-// points re-arm the kernel wake-up queue), groupsync (memctrl
+// points re-arm the controller wake-up), groupsync (memctrl
 // queue-membership mutations update the incremental candidate-group
 // index), freelive (no pointer to a free-listed object survives its
 // recycle point), hotalloc (//mclint:hotpath closures stay

@@ -1358,9 +1358,16 @@ func (c *Controller) removeRequest(r *Request) {
 
 // ResetStats zeroes the measurement counters (e.g. after warmup)
 // without disturbing queue or bank state. now re-anchors the
-// time-weighted trackers.
+// time-weighted trackers. A park still open at the reset is counted
+// in the new window, so the wake that ends it keeps Wakes <= Parks.
 func (c *Controller) ResetStats(now uint64) {
 	c.Stats = Stats{}
+	if c.parked {
+		c.Stats.Parks = 1
+		if c.declined {
+			c.Stats.DeclineParks = 1
+		}
+	}
 	c.Stats.ReadQ.Set(now, float64(len(c.readQ)))
 	c.Stats.WriteQ.Set(now, float64(len(c.writeQ)))
 	c.ch.Stats = dram.Stats{}

@@ -119,3 +119,22 @@ func TestDeclineParkTickAllocFree(t *testing.T) {
 		t.Fatalf("declining Tick allocates %.1f times per call, want 0", allocs)
 	}
 }
+
+// TestResetStatsCountsOpenDeclinePark checks a stats reset inside a
+// decline park: the new window counts the open park (Parks and
+// DeclineParks both 1), so the wake that ends it keeps Wakes <= Parks.
+func TestResetStatsCountsOpenDeclinePark(t *testing.T) {
+	ctl, now, _ := declineSetup(t)
+	ctl.Tick(now)
+	wake := ctl.ParkHorizon()
+	ctl.ResetStats(now + 1)
+	if ctl.Stats.Parks != 1 || ctl.Stats.DeclineParks != 1 {
+		t.Fatalf("after the reset: Parks %d, DeclineParks %d, want 1 and 1", ctl.Stats.Parks, ctl.Stats.DeclineParks)
+	}
+	for now++; now <= wake; now++ {
+		ctl.Tick(now)
+	}
+	if ctl.Stats.Wakes == 0 || ctl.Stats.Wakes > ctl.Stats.Parks {
+		t.Fatalf("Wakes %d, Parks %d: want 0 < wakes <= parks", ctl.Stats.Wakes, ctl.Stats.Parks)
+	}
+}

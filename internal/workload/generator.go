@@ -227,17 +227,6 @@ type IOAgent struct {
 	pending int     // blocks left in the active burst
 	next    uint64
 	isWrite bool
-
-	// primed records that Scan already consumed a future cycle's
-	// injection decision (and the burst-setup draws): after idleLeft
-	// more silent cycles, the next Next call must replay that decision
-	// instead of drawing again.
-	primed bool
-	// idleLeft counts upcoming cycles whose injection draws Scan has
-	// already consumed and confirmed silent. Next absorbs them one per
-	// call without touching the random stream; Skip consumes them in
-	// bulk when the simulator jumps the clock.
-	idleLeft uint64
 }
 
 // NewIOAgent builds the agent; channels scales the rate when the
@@ -263,23 +252,6 @@ func NewIOAgent(p IOProfile, layout Layout, channels int, seed uint64) *IOAgent 
 // result reports whether a request was produced; the third whether it
 // is a write.
 func (a *IOAgent) Next() (addr uint64, ok, write bool) {
-	if a.idleLeft > 0 {
-		// Scan already drew this cycle's decision: silent.
-		a.idleLeft--
-		return 0, false, false
-	}
-	if a.primed {
-		// Replay the burst start Scan pre-drew; mirrors the fresh-burst
-		// branch below exactly.
-		a.primed = false
-		if a.pending > 0 {
-			a.pending--
-			addr = a.next
-			a.next += blockBytes
-			return addr, true, a.isWrite
-		}
-		return 0, false, false
-	}
 	if a.pending > 0 {
 		a.pending--
 		addr = a.next
@@ -302,55 +274,4 @@ func (a *IOAgent) Next() (addr uint64, ok, write bool) {
 		return addr, true, a.isWrite
 	}
 	return 0, false, false
-}
-
-// Scan consumes the per-cycle injection decisions for up to n upcoming
-// cycles without emitting requests, so a fast-forwarding simulator can
-// jump over cycles in which the agent stays silent while keeping the
-// random stream bit-identical to the per-cycle Next loop. It returns
-// the number of leading cycles confirmed silent and whether the cycle
-// after them fires. When it fires, the burst-setup draws have already
-// been made; the Next call for that cycle replays them via primed.
-// A result of (0, true) means the current cycle itself emits and no
-// cycle may be skipped.
-//
-// The confirmed-silent window is remembered (idleLeft), so a jump
-// shorter than the window — forced by another agent or component in a
-// multi-tenant system — is safe: the caller reports the cycles it
-// actually skipped via Skip, and Next absorbs the remainder one cycle
-// at a time without re-drawing. Repeated Scans extend the window
-// rather than re-consuming draws.
-func (a *IOAgent) Scan(n uint64) (idle uint64, fired bool) {
-	if a.primed {
-		// A fire is already staged (pending/next/isWrite drawn); it
-		// lands after the remaining confirmed-silent cycles.
-		if a.idleLeft >= n {
-			return n, false
-		}
-		return a.idleLeft, true
-	}
-	if a.pending > 0 {
-		return 0, true
-	}
-	for a.idleLeft < n {
-		if a.rand.float() < a.rate {
-			a.pending = a.prof.BurstBlocks
-			a.next = a.layout.StreamBase + blockAlign(a.rand.intn(a.layout.StreamSize))
-			a.isWrite = a.rand.float() < a.prof.WriteFraction
-			a.primed = true
-			return a.idleLeft, true
-		}
-		a.idleLeft++
-	}
-	return n, false
-}
-
-// Skip consumes n cycles of the confirmed-silent window established by
-// Scan, mirroring a clock jump of n cycles. n must not exceed the idle
-// count the preceding Scan reported.
-func (a *IOAgent) Skip(n uint64) {
-	if n > a.idleLeft {
-		panic("workload: IOAgent.Skip beyond the scanned idle window")
-	}
-	a.idleLeft -= n
 }

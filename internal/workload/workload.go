@@ -19,7 +19,10 @@
 // analytically from the calibration targets; see Profile.Derived.
 package workload
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // OpKind classifies one instruction of the synthetic stream.
 type OpKind uint8
@@ -165,8 +168,8 @@ func (p Profile) Validate() error {
 	if p.StoreFraction < 0 || p.StoreFraction > 1 {
 		return fmt.Errorf("workload %s: StoreFraction out of [0,1]", p.Acronym)
 	}
-	if p.BaseCPI < 1 {
-		return fmt.Errorf("workload %s: BaseCPI %.2f must be >= 1", p.Acronym, p.BaseCPI)
+	if !(p.BaseCPI >= 1) || math.IsInf(p.BaseCPI, 1) {
+		return fmt.Errorf("workload %s: BaseCPI %.2f must be finite and >= 1", p.Acronym, p.BaseCPI)
 	}
 	if p.TargetMPKI <= 0 || p.TargetMPKI > p.MemRefsPerKiloInstr {
 		return fmt.Errorf("workload %s: TargetMPKI %.1f out of (0, MemRefs]", p.Acronym, p.TargetMPKI)

@@ -259,6 +259,8 @@ func TestValidateRejectsBrokenProfiles(t *testing.T) {
 		func(p *Profile) { p.MemRefsPerKiloInstr = 0 },
 		func(p *Profile) { p.StoreFraction = 1.5 },
 		func(p *Profile) { p.BaseCPI = 0.5 },
+		func(p *Profile) { p.BaseCPI = math.NaN() },
+		func(p *Profile) { p.BaseCPI = math.Inf(1) },
 		func(p *Profile) { p.TargetMPKI = 0 },
 		func(p *Profile) { p.TargetMPKI = p.MemRefsPerKiloInstr + 1 },
 		func(p *Profile) { p.TargetRowHit = 1.0 },
